@@ -1,14 +1,15 @@
 # Developer entry points. `make verify` is the tier-1 gate: it builds and
 # vets everything, checks formatting, runs the full test suite, the
-# allocation-budget gate (E/W/S work units must not allocate), and
+# allocation-budget gate (E/W/S work units must not allocate),
 # race-checks the concurrent packages (the public API, the model server,
-# the flat batch predictor, and the training engines).
+# the flat batch predictor, and the training engines), and vets and tests
+# the benchmark/ module against the API surface it calls.
 
 GO ?= go
 
-.PHONY: verify build vet fmt-check test alloc-check race chaos ingest-soak cluster-soak bench benchcmp gobench serve-bench servebench driftbench clusterbench
+.PHONY: verify build vet fmt-check test alloc-check race chaos ingest-soak cluster-soak benchmark-module bench benchcmp gobench serve-bench servebench driftbench clusterbench
 
-verify: build vet fmt-check test alloc-check race chaos ingest-soak cluster-soak
+verify: build vet fmt-check test alloc-check race chaos ingest-soak cluster-soak benchmark-module
 
 build:
 	$(GO) build ./...
@@ -24,13 +25,11 @@ test:
 	$(GO) test ./...
 
 # Zero-allocation gates for the scratch-arena hot paths: the E/W/S work
-# units (internal/core/alloc_test.go), the histogram engine, and the
-# level-synchronous predict kernel's steady state (-count=1 so a cached
-# pass can't mask a regression introduced by a dependency).
+# units (internal/core/alloc_test.go) and the histogram engine (-count=1
+# so a cached pass can't mask a regression introduced by a dependency).
 alloc-check:
 	$(GO) test -count=1 -run 'TestWorkUnitAllocationBudget' ./internal/core/
 	$(GO) test -count=1 -run 'TestHistWorkUnitAllocationBudget' ./internal/hist/
-	$(GO) test -count=1 -run 'TestLevelKernelAllocationBudget' ./internal/flat/
 
 race:
 	$(GO) test -race . ./internal/serve/... ./internal/flat/... ./internal/core/... ./internal/trace/... ./internal/hist/... ./internal/cluster/... ./internal/loadtest/...
@@ -56,6 +55,12 @@ ingest-soak:
 # restarted node (-count=1 so every run replays the crash afresh).
 cluster-soak:
 	$(GO) test -race -count=1 -run 'TestClusterSoakKillRestart' ./internal/cluster/
+
+# benchmark/ is its own module (replace repro => ../), so `./...` above
+# never reaches it: vet and smoke-test it here so an API-surface deletion
+# that breaks the repo benchmark fails the gate.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # The build-phase observability sweep: real instrumented builds over the
 # paper's F1/F7 pair plus the forest build/serve rows, written to the

@@ -87,17 +87,13 @@ type driftRun struct {
 // driver (internal/loadtest) run against an in-process model server.
 type serveRun struct {
 	Dataset string `json:"dataset"`
-	// Mode is "inline", "batched", "batched-overload", the HTTP forest A/B
-	// pair "batched-forest", or the in-process kernel A/B pair
-	// "kernel-walker"/"kernel-levelsync".
+	// Mode is "inline", "batched", "batched-overload", or the 25-tree
+	// forest row "batched-forest".
 	Mode       string `json:"mode"`
 	Positional bool   `json:"positional"`
 	// Trees is the serving ensemble size (omitted for single-tree rows, so
 	// pre-forest baselines keep their compare keys).
-	Trees int `json:"trees,omitempty"`
-	// LevelSync is the batch-kernel selection the row ran under ("on",
-	// "off"; omitted when the default auto mode served).
-	LevelSync   string  `json:"levelsync,omitempty"`
+	Trees       int     `json:"trees,omitempty"`
 	Concurrency int     `json:"concurrency,omitempty"`  // closed loop
 	ArrivalRate float64 `json:"arrival_rate,omitempty"` // open loop, req/s
 	BatchPerReq int     `json:"batch_per_request"`
@@ -131,11 +127,6 @@ type report struct {
 	// (`-cluster` mode, see cluster.go): overload survival counters and
 	// the restarted node's anti-entropy convergence time.
 	ClusterRuns []clusterRun `json:"cluster_runs,omitempty"`
-	// LevelSyncCrossoverRows is the measured batch size where the
-	// level-synchronous kernel overtakes the preorder walker on this host
-	// (`-serve` A/B sweep); 0 means the walker won at every size tried.
-	// parclass.DefaultLevelSyncCrossover should track this value.
-	LevelSyncCrossoverRows int `json:"levelsync_crossover_rows,omitempty"`
 }
 
 func main() {
@@ -480,8 +471,8 @@ func positionalRows(ds *parclass.Dataset, n int) [][]string {
 // and allocation deltas, and returns an error when any matched run regressed
 // by more than 10% — so `make benchcmp` fails the build on a perf loss.
 // Serve rows are diffed too (matched on dataset, mode, batch size and the
-// forest/levelsync columns when present — absent columns add nothing to the
-// key, so rows written before a column existed still match), but only
+// forest column when present — an absent column adds nothing to the key, so
+// rows written before it existed still match), but only
 // informationally: serving throughput on a shared host is too noisy to gate.
 func compareReports(oldPath, newPath string) error {
 	loadReport := func(path string) (*report, error) {
@@ -557,17 +548,13 @@ func compareReports(oldPath, newPath string) error {
 	return nil
 }
 
-// serveKey identifies a serve row across reports. Optional columns (Trees,
-// LevelSync) extend the key only when set, so rows from files written
-// before those columns existed keep matching instead of all showing up as
-// "(no baseline)".
+// serveKey identifies a serve row across reports. The optional Trees
+// column extends the key only when set, so rows from files written before
+// it existed keep matching instead of all showing up as "(no baseline)".
 func serveKey(r serveRun) string {
 	key := fmt.Sprintf("serve/%s/%s/B=%d", r.Dataset, r.Mode, r.BatchPerReq)
 	if r.Trees > 0 {
 		key += fmt.Sprintf("/T=%d", r.Trees)
-	}
-	if r.LevelSync != "" {
-		key += "/ls=" + r.LevelSync
 	}
 	return key
 }
@@ -597,9 +584,6 @@ func compareServeRuns(oldRep, newRep *report) {
 			ratio = nr.RowsPerSec / or.RowsPerSec
 		}
 		fmt.Printf("%-52s %12.0f %12.0f %7.2fx\n", key, or.RowsPerSec, nr.RowsPerSec, ratio)
-	}
-	if oc, nc := oldRep.LevelSyncCrossoverRows, newRep.LevelSyncCrossoverRows; nc != 0 || oc != 0 {
-		fmt.Printf("levelsync crossover: %d -> %d rows\n", oc, nc)
 	}
 	fmt.Println()
 }
@@ -650,15 +634,8 @@ func serveBench(outPath, spec string, seed int64, dur time.Duration, conc, batch
 		return fmt.Errorf("training %s: %w", spec, err)
 	}
 
-	runOne := func(mode string, m parclass.Predictor, lsName string, batchRows int, bcfg *serve.BatchConfig, arrival float64) (serveRun, error) {
+	runOne := func(mode string, m parclass.Predictor, batchRows int, bcfg *serve.BatchConfig, arrival float64) (serveRun, error) {
 		s := serve.New(serve.DefaultModelName)
-		if lsName != "" {
-			lsMode, err := parclass.ParseLevelSyncMode(lsName)
-			if err != nil {
-				return serveRun{}, err
-			}
-			s.SetLevelSyncMode(lsMode)
-		}
 		if _, err := s.Load(serve.DefaultModelName, m, "benchjson -serve "+spec); err != nil {
 			return serveRun{}, err
 		}
@@ -698,7 +675,6 @@ func serveBench(outPath, spec string, seed int64, dur time.Duration, conc, batch
 			Dataset:     spec,
 			Mode:        mode,
 			Positional:  true,
-			LevelSync:   lsName,
 			Concurrency: cfg.Concurrency,
 			ArrivalRate: arrival,
 			BatchPerReq: batchRows,
@@ -720,7 +696,7 @@ func serveBench(outPath, spec string, seed int64, dur time.Duration, conc, batch
 	}
 
 	var runs []serveRun
-	inline, err := runOne("inline", model, "", batch, nil, 0)
+	inline, err := runOne("inline", model, batch, nil, 0)
 	if err != nil {
 		return err
 	}
@@ -728,7 +704,7 @@ func serveBench(outPath, spec string, seed int64, dur time.Duration, conc, batch
 	log.Printf("%-17s %s rows/s (%s req/s) p99=%v", "inline", fmtServeRate(inline.RowsPerSec),
 		fmtServeRate(inline.ReqPerSec), time.Duration(inline.P99US)*time.Microsecond)
 
-	batchedRun, err := runOne("batched", model, "", batch, &serve.BatchConfig{}, 0)
+	batchedRun, err := runOne("batched", model, batch, &serve.BatchConfig{}, 0)
 	if err != nil {
 		return err
 	}
@@ -746,7 +722,7 @@ func serveBench(outPath, spec string, seed int64, dur time.Duration, conc, batch
 	if overloadRate < 100 {
 		overloadRate = 100
 	}
-	overload, err := runOne("batched-overload", model, "", batch, &serve.BatchConfig{QueueDepth: 16}, overloadRate)
+	overload, err := runOne("batched-overload", model, batch, &serve.BatchConfig{QueueDepth: 16}, overloadRate)
 	if err != nil {
 		return err
 	}
@@ -754,31 +730,19 @@ func serveBench(outPath, spec string, seed int64, dur time.Duration, conc, batch
 	log.Printf("%-17s %s rows/s ok, %.1f%% shed at %.0f req/s offered", "batched-overload",
 		fmtServeRate(overload.RowsPerSec), 100*overload.ShedRate, overloadRate)
 
-	// Walker vs level-sync A/B on a 25-member forest. The in-process pair
-	// times the fused kernels directly (no HTTP, 256-row batches — the
-	// micro-batcher's window size); the HTTP pair drives the same forest
-	// through the full serve stack with the server-wide kernel mode forced
-	// each way. The sweep also finds the batch size where the level kernel
-	// overtakes the walker on this host — the auto-mode crossover.
+	// A 25-member forest through the full serve stack at the
+	// micro-batcher's window size.
 	forest, err := parclass.TrainForest(ds, parclass.Options{Trees: 25, ForestSeed: seed})
 	if err != nil {
 		return fmt.Errorf("training %s forest: %w", spec, err)
 	}
-	abRuns, crossover, err := levelSyncAB(forest, ds, spec)
+	forestRun, err := runOne("batched-forest", forest, 256, &serve.BatchConfig{}, 0)
 	if err != nil {
 		return err
 	}
-	runs = append(runs, abRuns...)
-	for _, lsName := range []string{"off", "on"} {
-		r, err := runOne("batched-forest", forest, lsName, 256, &serve.BatchConfig{}, 0)
-		if err != nil {
-			return err
-		}
-		runs = append(runs, r)
-		log.Printf("%-17s %s rows/s (%s req/s) p99=%v levelsync=%s", "batched-forest",
-			fmtServeRate(r.RowsPerSec), fmtServeRate(r.ReqPerSec),
-			time.Duration(r.P99US)*time.Microsecond, lsName)
-	}
+	runs = append(runs, forestRun)
+	log.Printf("%-17s %s rows/s (%s req/s) p99=%v", "batched-forest", fmtServeRate(forestRun.RowsPerSec),
+		fmtServeRate(forestRun.ReqPerSec), time.Duration(forestRun.P99US)*time.Microsecond)
 
 	// Append to the existing report so the serving rows live beside the
 	// build sweep in one document; start a fresh one if outPath is new.
@@ -787,7 +751,6 @@ func serveBench(outPath, spec string, seed int64, dur time.Duration, conc, batch
 		return err
 	}
 	rep.ServeRuns = runs
-	rep.LevelSyncCrossoverRows = crossover
 	return writeReport(outPath, rep, fmt.Sprintf("%d serve runs", len(runs)))
 }
 
@@ -907,77 +870,6 @@ func writeReport(path string, rep *report, what string) error {
 // decodeBody decodes one JSON document from r.
 func decodeBody(r io.Reader, out any) error {
 	return json.NewDecoder(r).Decode(out)
-}
-
-// levelSyncAB times the forest's two batch kernels directly — the preorder
-// walker (LevelSyncOff) against the level-synchronous kernel (LevelSyncOn)
-// over identical 256-row positional batches — and sweeps batch sizes to
-// find the auto-mode crossover: the smallest batch where the level kernel
-// matches or beats the walker (0 when the walker wins at every size).
-func levelSyncAB(f *parclass.Forest, ds *parclass.Dataset, spec string) ([]serveRun, int, error) {
-	if err := f.Compile(); err != nil {
-		return nil, 0, err
-	}
-	rate := func(rows [][]string, mode parclass.LevelSyncMode) (float64, error) {
-		if _, err := f.PredictValuesBatchMode(rows, mode); err != nil {
-			return 0, err
-		}
-		done := 0
-		start := time.Now()
-		for time.Since(start) < 300*time.Millisecond {
-			if _, err := f.PredictValuesBatchMode(rows, mode); err != nil {
-				return 0, err
-			}
-			done += len(rows)
-		}
-		return float64(done) / time.Since(start).Seconds(), nil
-	}
-
-	rows := positionalRows(ds, 256)
-	walker, err := rate(rows, parclass.LevelSyncOff)
-	if err != nil {
-		return nil, 0, err
-	}
-	level, err := rate(rows, parclass.LevelSyncOn)
-	if err != nil {
-		return nil, 0, err
-	}
-	mk := func(mode, ls string, rps float64, batch int) serveRun {
-		return serveRun{
-			Dataset: spec, Mode: mode, Positional: true, Trees: f.NumTrees(),
-			LevelSync: ls, BatchPerReq: batch, RowsPerSec: rps,
-		}
-	}
-	out := []serveRun{
-		mk("kernel-walker", "off", walker, 256),
-		mk("kernel-levelsync", "on", level, 256),
-	}
-	log.Printf("%-17s %s rows/s walker vs %s rows/s levelsync (%.2fx, T=%d, 256-row batches)",
-		"kernel A/B", fmtServeRate(walker), fmtServeRate(level), level/walker, f.NumTrees())
-
-	crossover := 0
-	for _, n := range []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096} {
-		sw := positionalRows(ds, n)
-		w, err := rate(sw, parclass.LevelSyncOff)
-		if err != nil {
-			return nil, 0, err
-		}
-		l, err := rate(sw, parclass.LevelSyncOn)
-		if err != nil {
-			return nil, 0, err
-		}
-		log.Printf("  crossover sweep B=%-5d walker=%s rows/s levelsync=%s rows/s (%.2fx)",
-			n, fmtServeRate(w), fmtServeRate(l), l/w)
-		if crossover == 0 && l >= w {
-			crossover = n
-		}
-	}
-	if crossover > 0 {
-		log.Printf("  level-sync crossover: %d rows (DefaultLevelSyncCrossover should match)", crossover)
-	} else {
-		log.Printf("  level-sync crossover: walker won at every size tried")
-	}
-	return out, crossover, nil
 }
 
 func fmtServeRate(v float64) string {

@@ -59,8 +59,6 @@ func main() {
 			"open-loop arrival rate in requests/second (0 = closed loop); past server capacity this measures shedding")
 		noBatch = flag.Bool("no-batch", false,
 			`set "no_batch" on every request so the server skips micro-batch coalescing`)
-		levelSync = flag.String("levelsync", "",
-			`set "level_sync" on every request: on (level-sync kernel), off (preorder walker), auto/"" (server's setting)`)
 		drift = flag.Bool("drift", false,
 			"stream a drifting labeled feed into /v1/ingest and measure the retrain loop's time-to-recover (see -drift-* flags)")
 		driftFn   = flag.Int("drift-fn", 1, "classification function labeling rows before the flip")
@@ -91,7 +89,6 @@ func main() {
 		Batch:       *batch,
 		Positional:  *positional,
 		NoBatch:     *noBatch,
-		LevelSync:   *levelSync,
 		Duration:    *duration,
 		Requests:    *requests,
 		ArrivalRate: *arrival,

@@ -89,8 +89,6 @@ func main() {
 			"predict admission queue capacity in requests; a full queue sheds with 429 + Retry-After")
 		predictMaxBytes = flag.Int64("predict-max-bytes", serve.DefaultPredictMaxBytes,
 			"POST /predict body cap in bytes (oversized bodies answer 413)")
-		levelSync = flag.String("levelsync", "auto",
-			"batch predict kernel: auto (level-sync for batches past the measured crossover), on, off")
 		ingestWindow = flag.Int("ingest-window", serve.DefaultIngestWindow,
 			"labeled-row sliding window capacity for POST /ingest (0 disables online ingest)")
 		retrainInterval = flag.Duration("retrain-interval", 5*time.Second,
@@ -120,16 +118,10 @@ func main() {
 	)
 	flag.Parse()
 
-	lsMode, err := parclass.ParseLevelSyncMode(*levelSync)
-	if err != nil {
-		log.Fatalf("-levelsync: %v", err)
-	}
-
 	mon := parclass.NewBuildMonitor()
 	s := serve.New(*name)
 	s.SetBuildMonitor(mon)
 	s.SetPredictMaxBytes(*predictMaxBytes)
-	s.SetLevelSyncMode(lsMode)
 
 	// Cluster mode: every local publish (upload or winning retrain swap)
 	// fans out to the peers, and the anti-entropy loop pulls back whatever

@@ -8,7 +8,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -47,12 +46,6 @@ type Forest struct {
 	compileOnce sync.Once
 	compiled    *flat.Forest
 	compileErr  error
-	// level is the per-member level-array layout backing the
-	// level-synchronous batch kernel; nil when any member is too deep for
-	// it, in which case batches always take the fused walker.
-	level *flat.LevelForest
-	// levelMode holds the SetLevelSync selection (a LevelSyncMode).
-	levelMode atomic.Int32
 	// valsPool recycles per-call decode + vote buffers.
 	valsPool sync.Pool
 }
@@ -323,22 +316,10 @@ func (f *Forest) Compile() error {
 		f.compiled, f.compileErr = flat.CompileForest(f.trees)
 		if f.compileErr != nil {
 			f.compileErr = fmt.Errorf("%w: %v", ErrNotCompiled, f.compileErr)
-			return
 		}
-		// Best-effort, like Model: a member past flat.MaxLevelDepth leaves
-		// level nil and every batch takes the fused walker.
-		f.level, _ = flat.BuildLevelForest(f.compiled)
 	})
 	return f.compileErr
 }
-
-// SetLevelSync selects the batch-predict kernel (see LevelSyncMode); the
-// default LevelSyncAuto engages the level-synchronous kernel for batches
-// of at least LevelSyncCrossover rows. Safe for concurrent use.
-func (f *Forest) SetLevelSync(mode LevelSyncMode) { f.levelMode.Store(int32(mode)) }
-
-// LevelSync reports the current kernel selection.
-func (f *Forest) LevelSync() LevelSyncMode { return LevelSyncMode(f.levelMode.Load()) }
 
 // getBuf leases a decode + vote scratch sized for the schema.
 func (f *Forest) getBuf() *forestBuf {
@@ -376,9 +357,7 @@ func (f *Forest) predictRow(row map[string]string, wantProba bool) (string, map[
 		f.valsPool.Put(b)
 		return "", nil, err
 	}
-	clear(b.counts)
-	code := f.compiled.Vote(tu, b.counts)
-	cls := f.schema.Classes[code]
+	cls := f.schema.Classes[f.classify(tu, b.counts)]
 	var proba map[string]float64
 	if wantProba {
 		proba = f.votesToProba(b.counts)
@@ -415,9 +394,7 @@ func (f *Forest) predictValues(vals []string, wantProba bool) (string, map[strin
 			return "", nil, err
 		}
 	}
-	clear(b.counts)
-	code := f.compiled.Vote(tu, b.counts)
-	cls := f.schema.Classes[code]
+	cls := f.schema.Classes[f.classify(tu, b.counts)]
 	var proba map[string]float64
 	if wantProba {
 		proba = f.votesToProba(b.counts)
@@ -441,114 +418,32 @@ func (f *Forest) votesToProba(counts []int32) map[string]float64 {
 // an N-tree forest costs one dispatch (and one decode per row), not N. A
 // malformed row fails the whole batch with an error naming the row index.
 func (f *Forest) PredictValuesBatch(rows [][]string) ([]string, error) {
-	return f.PredictValuesBatchMode(rows, LevelSyncAuto)
-}
-
-// PredictValuesBatchMode is PredictValuesBatch with a per-call kernel
-// override; LevelSyncAuto inherits the forest's SetLevelSync mode.
-func (f *Forest) PredictValuesBatchMode(rows [][]string, mode LevelSyncMode) ([]string, error) {
-	return f.batch(len(rows), mode, func(i int, tu dataset.Tuple) error {
-		vals := rows[i]
-		if len(vals) != len(f.schema.Attrs) {
-			return fmt.Errorf("row %d: %w: got %d values, schema has %d attributes",
-				i, ErrUnknownAttribute, len(vals), len(f.schema.Attrs))
-		}
-		for a, raw := range vals {
-			if err := f.dec.decodeValue(a, raw, tu); err != nil {
-				return fmt.Errorf("row %d: %w", i, err)
-			}
-		}
-		return nil
-	})
+	return f.batch(len(rows), f.dec.positionalRows(rows))
 }
 
 // PredictBatch classifies many named rows at once, sharded like
 // PredictValuesBatch.
 func (f *Forest) PredictBatch(rows []map[string]string) ([]string, error) {
-	return f.PredictBatchMode(rows, LevelSyncAuto)
+	return f.batch(len(rows), f.dec.namedRows(rows))
 }
 
-// PredictBatchMode is PredictBatch with a per-call kernel override;
-// LevelSyncAuto inherits the forest's SetLevelSync mode.
-func (f *Forest) PredictBatchMode(rows []map[string]string, mode LevelSyncMode) ([]string, error) {
-	return f.batch(len(rows), mode, func(i int, tu dataset.Tuple) error {
-		if err := f.dec.decodeRowInto(rows[i], tu); err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
-		}
-		return nil
-	})
-}
-
-// batch is the shared sharded decode + classify loop: decode(i, tu) fills
-// row i's tuple, then the shard is classified by the kernel
-// resolveLevelSync picks — the fused walker votes each row inline with
-// the decode; the level-synchronous kernel runs all members over the
-// shard's slice of the SoA block once its decode finishes, vote fused
-// into each member's final level.
-func (f *Forest) batch(n int, mode LevelSyncMode, decode func(i int, tu dataset.Tuple) error) ([]string, error) {
+// batch compiles on demand and runs predictBatch with the forest's shard
+// floor and vote.
+func (f *Forest) batch(n int, decode func(i int, tu dataset.Tuple) error) ([]string, error) {
 	if err := f.Compile(); err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	nAttrs := len(f.schema.Attrs)
-	contBuf := make([]float64, n*nAttrs)
-	catBuf := make([]int32, n*nAttrs)
-	codes := make([]int32, n)
-	useLevel := resolveLevelSync(mode, f.levelMode.Load(), n, f.level != nil)
-
 	// A forest row is ~NumTrees() tree walks, so the shard worth a
 	// goroutine shrinks with ensemble size.
-	shardMin := batchShardMin/len(f.trees) + 1
-	procs := runtime.GOMAXPROCS(0)
-	if procs > n/shardMin {
-		procs = n / shardMin
-	}
-	if procs < 1 {
-		procs = 1
-	}
-	errs := make([]error, procs)
-	var wg sync.WaitGroup
-	for w := 0; w < procs; w++ {
-		lo, hi := w*n/procs, (w+1)*n/procs
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var counts []int32
-			if !useLevel {
-				counts = make([]int32, f.nclass)
-			}
-			for i := lo; i < hi; i++ {
-				tu := dataset.Tuple{
-					Cont: contBuf[i*nAttrs : (i+1)*nAttrs],
-					Cat:  catBuf[i*nAttrs : (i+1)*nAttrs],
-				}
-				if err := decode(i, tu); err != nil {
-					errs[w] = err
-					return
-				}
-				if !useLevel {
-					clear(counts)
-					codes[i] = f.compiled.Vote(tu, counts)
-				}
-			}
-			if useLevel {
-				f.level.ClassifyRange(contBuf, catBuf, nAttrs, lo, hi, codes)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make([]string, n)
-	for i, c := range codes {
-		out[i] = f.schema.Classes[c]
-	}
-	return out, nil
+	return predictBatch(f.schema, n, batchShardMin/len(f.trees)+1, decode, f.classify)
+}
+
+// classify is one row's fused row-major vote (predictBatch's per-row step,
+// and the single-row forms'); votes is caller-owned scratch, one counter
+// per class, left holding the row's vote histogram.
+func (f *Forest) classify(tu dataset.Tuple, votes []int32) int32 {
+	clear(votes)
+	return f.compiled.Vote(tu, votes)
 }
 
 // PredictDataset classifies every row of ds (ignoring its labels) in

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -159,7 +160,7 @@ func TestHistChaos(t *testing.T) {
 			phase, mode := phase, mode
 			t.Run(phase+"/"+mode, func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				hits := 0
+				var hits atomic.Int32 // the hook runs on every worker
 				cfg := Config{
 					Algorithm: Hist,
 					Procs:     3,
@@ -167,8 +168,7 @@ func TestHistChaos(t *testing.T) {
 						if ph != phase {
 							return nil
 						}
-						hits++
-						if hits != 2 { // let the first unit through
+						if hits.Add(1) != 2 { // let the first unit through
 							return nil
 						}
 						if mode == "panic" {

@@ -2,12 +2,14 @@ package flat
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/split"
 	"repro/internal/synth"
 	"repro/internal/tree"
 )
@@ -54,26 +56,114 @@ func randomTuple(rng *rand.Rand, s *dataset.Schema, tbl *dataset.Table) dataset.
 	return tu
 }
 
-// TestFlatEquivalenceProperty is the subsystem's core invariant: for trees
-// grown from F1 (simple, continuous-only splits) and F7 (complex, mixes
-// categorical splits) the compiled predictor agrees with the pointer tree
-// on random tuples.
+// chainTree hand-builds a maximally unbalanced right-leaning chain of depth
+// levels: node at depth d tests x < d, so a row with x = k exits at depth
+// min(⌈k⌉, depth): far deeper than anything synthetic training grows.
+func chainTree(depth int) *tree.Tree {
+	schema := &dataset.Schema{
+		Attrs:   []dataset.Attribute{{Name: "x", Kind: dataset.Continuous}},
+		Classes: []string{"lo", "hi"},
+	}
+	node := &tree.Node{Class: 1}
+	for d := depth - 1; d >= 1; d-- {
+		node = &tree.Node{
+			Class: 0,
+			Split: &split.Candidate{Attr: 0, Kind: dataset.Continuous, Threshold: float64(d), Valid: true},
+			Left:  &tree.Node{Class: int32(d % 2)},
+			Right: node,
+		}
+	}
+	return &tree.Tree{Root: node, Schema: schema}
+}
+
+// bigCatTree hand-builds a categorical-heavy tree over a card-category
+// attribute; card > 64 forces multi-word subset bitmasks through the
+// walker's word-indexed probe.
+func bigCatTree(card int) *tree.Tree {
+	cats := make([]string, card)
+	for i := range cats {
+		cats[i] = fmt.Sprintf("c%d", i)
+	}
+	schema := &dataset.Schema{
+		Attrs: []dataset.Attribute{
+			{Name: "c", Kind: dataset.Categorical, Categories: cats},
+			{Name: "x", Kind: dataset.Continuous},
+		},
+		Classes: []string{"a", "b", "c"},
+	}
+	set1 := split.NewCatSet(card)
+	set2 := split.NewCatSet(card)
+	for i := 0; i < card; i++ {
+		if i%3 == 0 {
+			set1.Add(int32(i))
+		}
+		if i%5 != 0 {
+			set2.Add(int32(i))
+		}
+	}
+	root := &tree.Node{
+		Split: &split.Candidate{Attr: 0, Kind: dataset.Categorical, Subset: set1, Valid: true},
+		Left: &tree.Node{
+			Split: &split.Candidate{Attr: 1, Kind: dataset.Continuous, Threshold: 0.5, Valid: true},
+			Left:  &tree.Node{Class: 0},
+			Right: &tree.Node{Class: 1},
+		},
+		Right: &tree.Node{
+			Split: &split.Candidate{Attr: 0, Kind: dataset.Categorical, Subset: set2, Valid: true},
+			Left:  &tree.Node{Class: 2},
+			Right: &tree.Node{Class: 0},
+		},
+	}
+	return &tree.Tree{Root: root, Schema: schema}
+}
+
+// TestFlatEquivalenceProperty is the subsystem's core invariant: the
+// compiled predictor agrees with the pointer tree on random tuples, for
+// trees grown from F1 (simple, continuous-only splits) and F7 (complex,
+// mixes categorical splits) and for two hand-built shapes training rarely
+// produces — a 40-level right-leaning chain, and >64-category subsets
+// (multi-word bitmasks) probed with out-of-domain codes that must fall
+// right.
 func TestFlatEquivalenceProperty(t *testing.T) {
+	type shape struct {
+		name string
+		seed int64
+		tr   *tree.Tree
+		draw func(rng *rand.Rand) dataset.Tuple
+	}
+	var shapes []shape
 	for _, fn := range []int{1, 7} {
 		tr, tbl := grow(t, fn, 4000, 0)
-		ft, err := Compile(tr)
-		if err != nil {
-			t.Fatalf("F%d: %v", fn, err)
-		}
-		rng := rand.New(rand.NewSource(int64(fn)))
-		prop := func(seed int64) bool {
-			tu := randomTuple(rand.New(rand.NewSource(seed)), tr.Schema, tbl)
-			return ft.Predict(tu) == tr.Predict(tu)
-		}
-		cfg := &quick.Config{MaxCount: 2000, Rand: rng}
-		if err := quick.Check(prop, cfg); err != nil {
-			t.Fatalf("F%d: flat and pointer predictions diverge: %v", fn, err)
-		}
+		shapes = append(shapes, shape{fmt.Sprintf("F%d", fn), int64(fn), tr,
+			func(rng *rand.Rand) dataset.Tuple { return randomTuple(rng, tr.Schema, tbl) }})
+	}
+	shapes = append(shapes,
+		shape{"chain", 11, chainTree(40), func(rng *rand.Rand) dataset.Tuple {
+			// Cover every exit depth plus both extremes.
+			return dataset.Tuple{Cont: []float64{rng.Float64()*42 - 1}, Cat: []int32{0}}
+		}},
+		shape{"wide-categorical", 13, bigCatTree(130), func(rng *rand.Rand) dataset.Tuple {
+			// Codes up to 149 include out-of-domain values past card=130.
+			return dataset.Tuple{
+				Cont: []float64{0, rng.Float64()},
+				Cat:  []int32{int32(rng.Intn(150)), 0},
+			}
+		}})
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ft, err := Compile(sh.tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prop := func(seed int64) bool {
+				tu := sh.draw(rand.New(rand.NewSource(seed)))
+				return ft.Predict(tu) == sh.tr.Predict(tu)
+			}
+			cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(sh.seed))}
+			if err := quick.Check(prop, cfg); err != nil {
+				t.Fatalf("flat and pointer predictions diverge: %v", err)
+			}
+		})
 	}
 }
 

@@ -41,9 +41,6 @@ type Config struct {
 	Batch       int  // rows per request; <= 1 sends single-row forms
 	Positional  bool // send values/values_rows instead of name→value maps
 	NoBatch     bool // set "no_batch" so the server skips micro-batching
-	// LevelSync sets each request's "level_sync" kernel override: "on",
-	// "off", or ""/"auto" to inherit the server's setting.
-	LevelSync string
 
 	Duration time.Duration // run length (default 10s)
 	Requests int           // exact request budget; overrides Duration when > 0
@@ -192,12 +189,11 @@ type predictRequest struct {
 	Values     []string            `json:"values,omitempty"`
 	ValuesRows [][]string          `json:"values_rows,omitempty"`
 	NoBatch    bool                `json:"no_batch,omitempty"`
-	LevelSync  string              `json:"level_sync,omitempty"`
 }
 
 // body builds one request body per cfg's form.
 func body(cfg *Config, rng *rand.Rand, info *ModelSchema) []byte {
-	req := predictRequest{Model: cfg.Model, NoBatch: cfg.NoBatch, LevelSync: cfg.LevelSync}
+	req := predictRequest{Model: cfg.Model, NoBatch: cfg.NoBatch}
 	switch {
 	case cfg.Positional && cfg.Batch <= 1:
 		req.Values = RandomValues(rng, info)

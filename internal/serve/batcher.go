@@ -82,12 +82,8 @@ type pendingPredict struct {
 	model      string
 	positional bool
 	single     bool
-	// level is the request's batch-kernel override; requests with different
-	// overrides never coalesce into one dispatch (groupKey separates them),
-	// so a forced-"off" probe is never silently served by the level kernel.
-	level parclass.LevelSyncMode
-	rows  []map[string]string
-	vrows [][]string
+	rows       []map[string]string
+	vrows      [][]string
 	// quit is the dispatcher shutdown sentinel (see batcher.close).
 	quit bool
 	// done is buffered so the dispatcher never blocks on a caller that
@@ -96,8 +92,8 @@ type pendingPredict struct {
 }
 
 // newPending parks a decoded predict request for the dispatcher.
-func newPending(model string, level parclass.LevelSyncMode, req *predictRequest) *pendingPredict {
-	p := &pendingPredict{model: model, level: level, done: make(chan predictOutcome, 1)}
+func newPending(model string, req *predictRequest) *pendingPredict {
+	p := &pendingPredict{model: model, done: make(chan predictOutcome, 1)}
 	switch {
 	case req.Row != nil:
 		p.single = true
@@ -272,11 +268,10 @@ func (b *batcher) drain() {
 }
 
 // groupKey buckets a window's requests into batchable calls: one flat-tree
-// dispatch serves one model, one row form and one kernel override.
+// dispatch serves one model and one row form.
 type groupKey struct {
 	model      string
 	positional bool
-	level      parclass.LevelSyncMode
 }
 
 // flush resolves one collected window: group by (model, form), one batched
@@ -291,7 +286,7 @@ func (b *batcher) flush(items []*pendingPredict, rows int) {
 	groups := make(map[groupKey][]*pendingPredict)
 	var order []groupKey
 	for _, p := range items {
-		k := groupKey{model: p.model, positional: p.positional, level: p.level}
+		k := groupKey{model: p.model, positional: p.positional}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}
@@ -327,13 +322,13 @@ func (b *batcher) execute(k groupKey, group []*pendingPredict) {
 		for _, p := range group {
 			all = append(all, p.vrows...)
 		}
-		preds, err = cur.model.PredictValuesBatchMode(all, k.level)
+		preds, err = cur.model.PredictValuesBatch(all)
 	} else {
 		all := make([]map[string]string, 0, total)
 		for _, p := range group {
 			all = append(all, p.rows...)
 		}
-		preds, err = cur.model.PredictBatchMode(all, k.level)
+		preds, err = cur.model.PredictBatch(all)
 	}
 	if err != nil {
 		// One malformed row must fail only its own request, with row
@@ -372,9 +367,9 @@ func (b *batcher) executeOne(p *pendingPredict, m parclass.Predictor) {
 		pred, err = m.Predict(p.rows[0])
 		preds = []string{pred}
 	case p.positional:
-		preds, err = m.PredictValuesBatchMode(p.vrows, p.level)
+		preds, err = m.PredictValuesBatch(p.vrows)
 	default:
-		preds, err = m.PredictBatchMode(p.rows, p.level)
+		preds, err = m.PredictBatch(p.rows)
 	}
 	if err != nil {
 		p.done <- predictOutcome{code: predictErrCode(err), err: err.Error()}

@@ -163,6 +163,52 @@ func postRawBody(t testing.TB, url, body string) string {
 	return string(b)
 }
 
+// TestModelInfoOOB: a bootstrapped forest exposes its out-of-bag estimate
+// on /v1/model/{name}; a single tree must not grow the field.
+func TestModelInfoOOB(t *testing.T) {
+	f := trainForest(t, 7)
+	s := New("")
+	if _, err := s.Load("default", f, "test"); err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, s)
+	var info ModelInfo
+	if code := getJSON(t, ts+"/v1/model/default", &info); code != 200 {
+		t.Fatalf("model info status %d", code)
+	}
+	if info.OOB == nil {
+		t.Fatal("forest model info carries no oob field")
+	}
+	want, ok := f.OOBError()
+	if !ok {
+		t.Fatal("trained forest has no OOB estimate")
+	}
+	if *info.OOB != want || info.OOBRows != f.OOBRows() {
+		t.Fatalf("info oob %g/%d, forest %g/%d", *info.OOB, info.OOBRows, want, f.OOBRows())
+	}
+	if *info.OOB < 0 || *info.OOB > 1 || info.OOBRows <= 0 {
+		t.Fatalf("implausible OOB estimate %g over %d rows", *info.OOB, info.OOBRows)
+	}
+
+	// Single tree: raw body must not leak the keys.
+	m := trainModel(t, 1, 1000)
+	if _, err := s.Load("tree", m, "test"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts + "/v1/model/tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), `"oob"`) {
+		t.Fatalf("single-tree model info leaked oob: %s", raw)
+	}
+}
+
 // newHTTPServer mounts s on an httptest listener and returns its base URL.
 func newHTTPServer(t testing.TB, s *Server) string {
 	t.Helper()

@@ -96,9 +96,6 @@ type Server struct {
 	// ing is the online-learning subsystem (labeled-row windows + retrain
 	// counters), nil until EnableIngest.
 	ing atomic.Pointer[ingestState]
-	// levelMode is the server-wide batch-kernel selection (a
-	// parclass.LevelSyncMode), applied to every model at Load.
-	levelMode atomic.Int32
 	// swapHook, when set, observes every locally published model version
 	// (uploads and retrain swaps) with its serialized artifact — the seam
 	// the cluster replicator hangs off (see SetSwapHook).
@@ -146,21 +143,6 @@ func (s *Server) firePublish(name string, m parclass.Predictor, raw []byte, sour
 		raw = buf.Bytes()
 	}
 	(*hp)(name, m, raw, source)
-}
-
-// SetLevelSyncMode sets the server-wide batch-kernel selection (see
-// parclass.LevelSyncMode): it applies to every currently loaded model and
-// to models loaded afterwards. Per-request "level_sync" overrides it.
-// Safe to call at any time, including while serving.
-func (s *Server) SetLevelSyncMode(mode parclass.LevelSyncMode) {
-	s.levelMode.Store(int32(mode))
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, sl := range s.models {
-		if cur := sl.ptr.Load(); cur != nil {
-			cur.model.SetLevelSync(mode)
-		}
-	}
 }
 
 // SetPredictMaxBytes overrides the POST /predict body cap (bytes); n <= 0
@@ -216,7 +198,6 @@ func (s *Server) loadGuarded(name string, m parclass.Predictor, source string, g
 	if err := m.Compile(); err != nil {
 		return false, err
 	}
-	m.SetLevelSync(parclass.LevelSyncMode(s.levelMode.Load()))
 	sl := s.slot(name, true)
 	lm := &loadedModel{model: m, loadedAt: time.Now(), source: source}
 	for {
@@ -347,10 +328,7 @@ func writeErr(w http.ResponseWriter, rs *routeStats, code int, format string, ar
 // wire) or ValuesRows (batch positional), plus an optional model name.
 // NoBatch opts this one request out of server-side micro-batching: it runs
 // inline instead of joining the coalescing queue (useful for latency-
-// sensitive probes while bulk traffic batches). LevelSync overrides the
-// batch kernel for this request: "on" forces the level-synchronous kernel,
-// "off" the preorder walker, "auto"/"" inherits the server's setting —
-// purely a performance knob, the predictions are identical either way.
+// sensitive probes while bulk traffic batches).
 type predictRequest struct {
 	Model      string              `json:"model,omitempty"`
 	Row        map[string]string   `json:"row,omitempty"`
@@ -358,7 +336,6 @@ type predictRequest struct {
 	Values     []string            `json:"values,omitempty"`
 	ValuesRows [][]string          `json:"values_rows,omitempty"`
 	NoBatch    bool                `json:"no_batch,omitempty"`
-	LevelSync  string              `json:"level_sync,omitempty"`
 }
 
 // predictResponse is the POST /predict reply. Proba and Trees appear only
@@ -420,11 +397,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, rs, http.StatusBadRequest, `need exactly one of "row", "rows", "values" and "values_rows"`)
 		return
 	}
-	lsMode, lsErr := parclass.ParseLevelSyncMode(req.LevelSync)
-	if lsErr != nil {
-		writeErr(w, rs, http.StatusBadRequest, `bad "level_sync" %q (want "auto", "on" or "off")`, req.LevelSync)
-		return
-	}
 	name := req.Model
 	if name == "" {
 		name = s.defaultModel
@@ -443,7 +415,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// queue is bounded; a full queue sheds the request with 429 instead of
 	// queueing goroutines and memory without bound.
 	if b := s.batch.Load(); b != nil && !req.NoBatch && !inlineProba {
-		p := newPending(name, lsMode, &req)
+		p := newPending(name, &req)
 		if !b.submit(p) {
 			s.met.shed.Add(1)
 			w.Header().Set("Retry-After", b.retryAfter())
@@ -521,7 +493,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	case len(req.ValuesRows) > 0:
 		// One sharded batch walk, not a row-at-a-time PredictValues loop;
 		// PredictValuesBatch keeps the "row %d:" error attribution.
-		preds, err := cur.model.PredictValuesBatchMode(req.ValuesRows, lsMode)
+		preds, err := cur.model.PredictValuesBatch(req.ValuesRows)
 		if err != nil {
 			writeErr(w, rs, predictErrCode(err), "%v", err)
 			return
@@ -529,7 +501,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		resp.Predictions = preds
 		resp.Rows = len(preds)
 	default:
-		preds, err := cur.model.PredictBatchMode(req.Rows, lsMode)
+		preds, err := cur.model.PredictBatch(req.Rows)
 		if err != nil {
 			writeErr(w, rs, predictErrCode(err), "%v", err)
 			return

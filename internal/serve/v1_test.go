@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,6 +117,18 @@ func TestPredictValuesRoute(t *testing.T) {
 	}
 	if batch.Rows != 3 || len(batch.Predictions) != 3 {
 		t.Fatalf("values_rows = %+v", batch)
+	}
+
+	// Old clients may still send the removed "level_sync" kernel knob, with
+	// any value: unknown keys are ignored and the answer is unchanged.
+	var legacy predictResponse
+	if code := postJSON(t, ts.URL+"/v1/predict", map[string]any{
+		"values_rows": vrows, "level_sync": "sideways",
+	}, &legacy); code != 200 {
+		t.Fatalf("values_rows with level_sync status %d, want 200", code)
+	}
+	if !slices.Equal(legacy.Predictions, batch.Predictions) {
+		t.Fatalf("level_sync changed predictions: %v vs %v", legacy.Predictions, batch.Predictions)
 	}
 
 	// Wrong width → 422.

@@ -23,10 +23,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/alist"
@@ -380,12 +378,6 @@ type Model struct {
 	compileOnce sync.Once
 	compiled    *flat.Tree
 	compileErr  error
-	// level is the breadth-first level-array layout backing the
-	// level-synchronous batch kernel; nil when the tree is too deep for it
-	// (flat.MaxLevelDepth), in which case batches always take the walker.
-	level *flat.LevelTree
-	// levelMode holds the SetLevelSync selection (a LevelSyncMode).
-	levelMode atomic.Int32
 	// buildTrace is the build observability record; nil for SLIQ models
 	// and models read back from disk.
 	buildTrace *BuildTrace
@@ -514,23 +506,10 @@ func (m *Model) Compile() error {
 		m.compiled, m.compileErr = flat.Compile(m.tree)
 		if m.compileErr != nil {
 			m.compileErr = fmt.Errorf("%w: %v", ErrNotCompiled, m.compileErr)
-			return
 		}
-		// The level layout is best-effort: a tree past flat.MaxLevelDepth
-		// (or any other build refusal) just leaves level nil and every
-		// batch takes the preorder walker.
-		m.level, _ = flat.BuildLevel(m.compiled)
 	})
 	return m.compileErr
 }
-
-// SetLevelSync selects the batch-predict kernel (see LevelSyncMode); the
-// default LevelSyncAuto engages the level-synchronous kernel for batches
-// of at least LevelSyncCrossover rows. Safe for concurrent use.
-func (m *Model) SetLevelSync(mode LevelSyncMode) { m.levelMode.Store(int32(mode)) }
-
-// LevelSync reports the current kernel selection.
-func (m *Model) LevelSync() LevelSyncMode { return LevelSyncMode(m.levelMode.Load()) }
 
 // valsBuf is PredictValues' reusable decode buffer.
 type valsBuf struct {
@@ -582,29 +561,10 @@ func (m *Model) PredictValues(vals []string) (string, error) {
 // an error naming the row index ("row %d: ...") and wrapping the same
 // sentinel PredictValues would return for that row alone.
 func (m *Model) PredictValuesBatch(rows [][]string) ([]string, error) {
-	return m.PredictValuesBatchMode(rows, LevelSyncAuto)
-}
-
-// PredictValuesBatchMode is PredictValuesBatch with a per-call kernel
-// override; LevelSyncAuto inherits the model's SetLevelSync mode.
-func (m *Model) PredictValuesBatchMode(rows [][]string, mode LevelSyncMode) ([]string, error) {
 	if err := m.Compile(); err != nil {
 		return nil, err
 	}
-	nAttrs := len(m.tree.Schema.Attrs)
-	return m.batchPredict(len(rows), nAttrs, mode, func(i int, tu dataset.Tuple) error {
-		vals := rows[i]
-		if len(vals) != nAttrs {
-			return fmt.Errorf("row %d: %w: got %d values, schema has %d attributes",
-				i, ErrUnknownAttribute, len(vals), nAttrs)
-		}
-		for a, raw := range vals {
-			if err := m.dec.decodeValue(a, raw, tu); err != nil {
-				return fmt.Errorf("row %d: %w", i, err)
-			}
-		}
-		return nil
-	})
+	return predictBatch(m.tree.Schema, len(rows), batchShardMin, m.dec.positionalRows(rows), m.classify)
 }
 
 // PredictBatch classifies many examples at once, fanning decode + compiled
@@ -613,88 +573,14 @@ func (m *Model) PredictValuesBatchMode(rows [][]string, mode LevelSyncMode) ([]s
 // row, in order; a malformed row fails the whole batch with an error naming
 // the row index.
 func (m *Model) PredictBatch(rows []map[string]string) ([]string, error) {
-	return m.PredictBatchMode(rows, LevelSyncAuto)
-}
-
-// PredictBatchMode is PredictBatch with a per-call kernel override;
-// LevelSyncAuto inherits the model's SetLevelSync mode.
-func (m *Model) PredictBatchMode(rows []map[string]string, mode LevelSyncMode) ([]string, error) {
 	if err := m.Compile(); err != nil {
 		return nil, err
 	}
-	nAttrs := len(m.tree.Schema.Attrs)
-	return m.batchPredict(len(rows), nAttrs, mode, func(i int, tu dataset.Tuple) error {
-		if err := m.dec.decodeRowInto(rows[i], tu); err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
-		}
-		return nil
-	})
+	return predictBatch(m.tree.Schema, len(rows), batchShardMin, m.dec.namedRows(rows), m.classify)
 }
 
-// batchPredict is the shared engine behind both batch forms: decode into
-// one contiguous SoA buffer per column kind (amortizing the per-row slice
-// allocations Predict pays), sharded over GOMAXPROCS workers, then
-// classify each shard with the kernel resolveLevelSync picks — the
-// preorder walker inline with the decode, or the level-synchronous kernel
-// over the shard's slice of the SoA block once its decode finishes.
-func (m *Model) batchPredict(n, nAttrs int, mode LevelSyncMode, decode func(i int, tu dataset.Tuple) error) ([]string, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	contBuf := make([]float64, n*nAttrs)
-	catBuf := make([]int32, n*nAttrs)
-	codes := make([]int32, n)
-	useLevel := resolveLevelSync(mode, m.levelMode.Load(), n, m.level != nil)
-
-	procs := runtime.GOMAXPROCS(0)
-	if procs > n/batchShardMin {
-		procs = n / batchShardMin
-	}
-	if procs < 1 {
-		procs = 1
-	}
-	errs := make([]error, procs)
-	var wg sync.WaitGroup
-	for w := 0; w < procs; w++ {
-		lo, hi := w*n/procs, (w+1)*n/procs
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				tu := dataset.Tuple{
-					Cont: contBuf[i*nAttrs : (i+1)*nAttrs],
-					Cat:  catBuf[i*nAttrs : (i+1)*nAttrs],
-				}
-				if err := decode(i, tu); err != nil {
-					errs[w] = err
-					return
-				}
-				if !useLevel {
-					codes[i] = m.compiled.Predict(tu)
-				}
-			}
-			if useLevel {
-				m.level.ClassifyRange(contBuf, catBuf, nAttrs, lo, hi, codes)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make([]string, n)
-	classes := m.tree.Schema.Classes
-	for i, c := range codes {
-		out[i] = classes[c]
-	}
-	return out, nil
-}
-
-// batchShardMin is the smallest per-goroutine shard PredictBatch will fan
-// out; smaller batches decode and predict on the caller's goroutine.
-const batchShardMin = 64
+// classify is predictBatch's per-row step: one compiled tree walk.
+func (m *Model) classify(tu dataset.Tuple, _ []int32) int32 { return m.compiled.Predict(tu) }
 
 // String renders the tree as an indented outline.
 func (m *Model) String() string { return m.tree.String() }

@@ -3,9 +3,10 @@ package parclass
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/dataset"
 )
@@ -47,111 +48,6 @@ type Predictor interface {
 	WriteModel(w io.Writer) error
 	// SaveModel writes the classifier to the named file.
 	SaveModel(path string) error
-
-	// SetLevelSync selects the batch-predict kernel: the branch-free
-	// level-synchronous kernel (LevelSyncOn), the preorder walker
-	// (LevelSyncOff), or the measured crossover heuristic (LevelSyncAuto,
-	// the default). Both kernels classify identically; the setting is pure
-	// performance. Safe to call at any time, including while serving.
-	SetLevelSync(mode LevelSyncMode)
-	// LevelSync reports the current kernel selection.
-	LevelSync() LevelSyncMode
-	// PredictValuesBatchMode is PredictValuesBatch with a per-call kernel
-	// override; LevelSyncAuto inherits the predictor's SetLevelSync mode.
-	PredictValuesBatchMode(rows [][]string, mode LevelSyncMode) ([]string, error)
-	// PredictBatchMode is PredictBatch with a per-call kernel override.
-	PredictBatchMode(rows []map[string]string, mode LevelSyncMode) ([]string, error)
-}
-
-// LevelSyncMode selects which compiled layout serves a batch predict: the
-// preorder walker (one branchy pointer-free descent per row) or the
-// level-synchronous kernel (the whole batch advanced one tree level per
-// pass with branch-free index arithmetic over SoA row buffers).
-type LevelSyncMode int32
-
-const (
-	// LevelSyncAuto picks the kernel for batches of at least
-	// LevelSyncCrossover rows when a level layout exists — the measured
-	// break-even point — and the walker below it. On a predictor it is the
-	// default; as a per-call override it means "inherit the predictor's
-	// setting".
-	LevelSyncAuto LevelSyncMode = iota
-	// LevelSyncOn forces the level-synchronous kernel on every batch that
-	// has a compiled level layout (falling back to the walker only when
-	// the layout could not be built, e.g. past flat.MaxLevelDepth).
-	LevelSyncOn
-	// LevelSyncOff forces the preorder walker.
-	LevelSyncOff
-)
-
-// String names the mode ("auto", "on", "off").
-func (m LevelSyncMode) String() string {
-	switch m {
-	case LevelSyncOn:
-		return "on"
-	case LevelSyncOff:
-		return "off"
-	default:
-		return "auto"
-	}
-}
-
-// ParseLevelSyncMode parses "auto" (or ""), "on" and "off".
-func ParseLevelSyncMode(s string) (LevelSyncMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return LevelSyncAuto, nil
-	case "on":
-		return LevelSyncOn, nil
-	case "off":
-		return LevelSyncOff, nil
-	}
-	return 0, fmt.Errorf("%w: level sync mode %q (want auto, on or off)", ErrBadOption, s)
-}
-
-// DefaultLevelSyncCrossover is the batch size at which LevelSyncAuto
-// switches from the preorder walker to the level-synchronous kernel,
-// measured by `benchjson -serve`'s A/B sweep on the reference host (see
-// BENCH_build.json "levelsync_crossover_rows" and the EXPERIMENTS table):
-// below it the walker's shorter average path wins. On the checked-in
-// 1-vCPU measurement the walker holds until 2048-row batches — with one
-// core there is no memory-level parallelism for the level passes to hide
-// latency behind, so auto is deliberately conservative; hosts with wider
-// cores should re-run `make servebench` and SetLevelSyncCrossover.
-const DefaultLevelSyncCrossover = 2048
-
-// levelSyncCrossover is the live crossover threshold (rows per batch).
-var levelSyncCrossover atomic.Int64
-
-func init() { levelSyncCrossover.Store(DefaultLevelSyncCrossover) }
-
-// SetLevelSyncCrossover overrides the LevelSyncAuto batch-size threshold;
-// rows <= 0 disables the kernel in auto mode entirely (auto then always
-// walks). Returns the previous value.
-func SetLevelSyncCrossover(rows int) int {
-	return int(levelSyncCrossover.Swap(int64(rows)))
-}
-
-// LevelSyncCrossover reports the LevelSyncAuto batch-size threshold.
-func LevelSyncCrossover() int { return int(levelSyncCrossover.Load()) }
-
-// resolveLevelSync folds a per-call override into a predictor's stored
-// mode and decides whether a batch of n rows takes the level kernel.
-// haveLayout reports whether the predictor compiled a level layout.
-func resolveLevelSync(override LevelSyncMode, stored int32, n int, haveLayout bool) bool {
-	mode := override
-	if mode == LevelSyncAuto {
-		mode = LevelSyncMode(stored)
-	}
-	switch mode {
-	case LevelSyncOn:
-		return haveLayout
-	case LevelSyncOff:
-		return false
-	default:
-		c := int(levelSyncCrossover.Load())
-		return haveLayout && c > 0 && n >= c
-	}
 }
 
 // Statically assert both shapes satisfy the interface.
@@ -249,4 +145,93 @@ func (d *rowDecoder) decodeValue(a int, raw string, tu dataset.Tuple) error {
 	}
 	tu.Cat[a] = code
 	return nil
+}
+
+// positionalRows returns the batch decode step for positional rows: row i
+// must carry one string per schema attribute, in order. Errors name the row
+// ("row %d: ...") and wrap the sentinel the single-row form would return.
+func (d *rowDecoder) positionalRows(rows [][]string) func(i int, tu dataset.Tuple) error {
+	nAttrs := len(d.schema.Attrs)
+	return func(i int, tu dataset.Tuple) error {
+		vals := rows[i]
+		if len(vals) != nAttrs {
+			return fmt.Errorf("row %d: %w: got %d values, schema has %d attributes",
+				i, ErrUnknownAttribute, len(vals), nAttrs)
+		}
+		for a, raw := range vals {
+			if err := d.decodeValue(a, raw, tu); err != nil {
+				return fmt.Errorf("row %d: %w", i, err)
+			}
+		}
+		return nil
+	}
+}
+
+// namedRows is positionalRows for name→string rows.
+func (d *rowDecoder) namedRows(rows []map[string]string) func(i int, tu dataset.Tuple) error {
+	return func(i int, tu dataset.Tuple) error {
+		if err := d.decodeRowInto(rows[i], tu); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+		return nil
+	}
+}
+
+// batchShardMin is the smallest shard of a single-tree batch worth its own
+// goroutine; smaller batches run as one shard.
+const batchShardMin = 64
+
+// predictBatch is the one sharded decode→classify loop behind every batch
+// form of Model and Forest. decode(i, tu) fills row i's tuple — a window of
+// one contiguous buffer per column kind, amortizing the per-row slice
+// allocations the single-row forms pay — and classify(tu, votes) returns its
+// class code, with votes a per-shard scratch of one counter per class (the
+// forest's vote histogram; a single tree ignores it). Rows are split into
+// contiguous shards of at least shardMin, one goroutine each up to
+// GOMAXPROCS. A malformed row fails the whole batch; when several shards
+// fail, the lowest row's error is returned.
+func predictBatch(s *dataset.Schema, n, shardMin int,
+	decode func(i int, tu dataset.Tuple) error,
+	classify func(tu dataset.Tuple, votes []int32) int32) ([]string, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	nAttrs := len(s.Attrs)
+	contBuf := make([]float64, n*nAttrs)
+	catBuf := make([]int32, n*nAttrs)
+	codes := make([]int32, n)
+
+	procs := max(1, min(runtime.GOMAXPROCS(0), n/shardMin))
+	errs := make([]error, procs)
+	var wg sync.WaitGroup
+	for w := 0; w < procs; w++ {
+		lo, hi := w*n/procs, (w+1)*n/procs
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			votes := make([]int32, len(s.Classes))
+			for i := lo; i < hi; i++ {
+				tu := dataset.Tuple{
+					Cont: contBuf[i*nAttrs : (i+1)*nAttrs],
+					Cat:  catBuf[i*nAttrs : (i+1)*nAttrs],
+				}
+				if err := decode(i, tu); err != nil {
+					errs[w] = err
+					return
+				}
+				codes[i] = classify(tu, votes)
+			}
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	out := make([]string, n)
+	for i, c := range codes {
+		out[i] = s.Classes[c]
+	}
+	return out, nil
 }
