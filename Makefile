@@ -2,8 +2,9 @@
 # vets everything, checks formatting, runs the full test suite, the
 # allocation-budget gate (E/W/S work units must not allocate),
 # race-checks the concurrent packages (the public API, the model server,
-# the flat batch predictor, and the training engines), and vets and tests
-# the benchmark/ module against the API surface it calls.
+# the flat batch predictor, the attribute-list stores, and the training
+# engines), and vets and tests the benchmark/ module against the API
+# surface it calls.
 
 GO ?= go
 
@@ -25,14 +26,16 @@ test:
 	$(GO) test ./...
 
 # Zero-allocation gates for the scratch-arena hot paths: the E/W/S work
-# units (internal/core/alloc_test.go) and the histogram engine (-count=1
-# so a cached pass can't mask a regression introduced by a dependency).
+# units (internal/core/alloc_test.go), the setup pre-sort with caller
+# scratch, and the histogram engine (-count=1 so a cached pass can't mask a
+# regression introduced by a dependency).
 alloc-check:
+	$(GO) test -count=1 -run 'TestSortAllocationBudget' ./internal/alist/
 	$(GO) test -count=1 -run 'TestWorkUnitAllocationBudget' ./internal/core/
 	$(GO) test -count=1 -run 'TestHistWorkUnitAllocationBudget' ./internal/hist/
 
 race:
-	$(GO) test -race . ./internal/serve/... ./internal/flat/... ./internal/core/... ./internal/trace/... ./internal/hist/... ./internal/cluster/... ./internal/loadtest/...
+	$(GO) test -race . ./internal/serve/... ./internal/flat/... ./internal/alist/... ./internal/core/... ./internal/trace/... ./internal/hist/... ./internal/cluster/... ./internal/loadtest/...
 
 # The chaos matrix: every scheme x every storage backend x deterministic
 # fault plans (transient/permanent/short-write/panic/latency), under the

@@ -2,10 +2,13 @@ package alist
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -52,32 +55,114 @@ func TestFromTable(t *testing.T) {
 	}
 }
 
-// Property: SortByValue sorts and is deterministic under permutation
-// (tie-break by tid).
+// sameRecords compares record lists bit for bit, so a −0 where the
+// reference has +0 is a difference.
+func sameRecords(a, b []Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) ||
+			a[i].Tid != b[i].Tid || a[i].Class != b[i].Class {
+			return false
+		}
+	}
+	return true
+}
+
+// mixedRecords draws n records with shuffled unique tids whose values mix
+// every kind the pre-sort meets: about half are ±0 ties (like F7's zero
+// commissions), a tenth are specials (±Inf, subnormals, extremes), and the
+// rest are negative and positive normals.
+func mixedRecords(rng *rand.Rand, n int) []Record {
+	specials := []float64{
+		math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1030, -0x1p-1030, math.MaxFloat64, -math.MaxFloat64, 1, -1,
+	}
+	tids := rng.Perm(n)
+	recs := make([]Record, n)
+	for i := range recs {
+		var v float64
+		switch p := rng.Float64(); {
+		case p < 0.25:
+			v = 0
+		case p < 0.5:
+			v = math.Copysign(0, -1)
+		case p < 0.6:
+			v = specials[rng.Intn(len(specials))]
+		default:
+			v = rng.NormFloat64() * 1e5
+		}
+		recs[i] = Record{Value: v, Tid: uint32(tids[i]), Class: int32(rng.Intn(3))}
+	}
+	return recs
+}
+
+// Property: SortByValue is exactly the (value, tid) comparator sort — so it
+// sorts and is deterministic under permutation — on tie-heavy lists, on
+// tid-ordered and shuffled input, and on every kind of value at lengths 0-3
+// through 100K, with one scratch buffer reused across sizes.
 func TestSortByValueProperty(t *testing.T) {
 	f := func(vals []float64, seed int64) bool {
 		recs := make([]Record, len(vals))
 		for i, v := range vals {
-			recs[i] = Record{Value: float64(int(v*4) % 8), Tid: uint32(i)}
+			recs[i] = Record{Value: float64(int(v*4)%8) - 3, Tid: uint32(i)}
 		}
 		a := append([]Record(nil), recs...)
 		b := append([]Record(nil), recs...)
 		rng := rand.New(rand.NewSource(seed))
 		rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
-		SortByValue(a)
-		SortByValue(b)
-		if !IsSortedByValue(a) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+		SortByValue(a, nil)
+		SortByValue(b, nil)
+		want := slices.Clone(recs)
+		slices.SortFunc(want, cmpRecord)
+		return IsSortedByValue(a) && sameRecords(a, want) && sameRecords(b, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+
+	var scratch []Record
+	check := func(rng *rand.Rand, n int) {
+		t.Helper()
+		recs := mixedRecords(rng, n)
+		want := slices.Clone(recs)
+		slices.SortFunc(want, cmpRecord)
+		scratch = SortByValue(recs, scratch)
+		if len(scratch) < n {
+			t.Fatalf("n=%d: scratch returned with len %d", n, len(scratch))
+		}
+		if !sameRecords(recs, want) {
+			for i := range recs {
+				if !sameRecords(recs[i:i+1], want[i:i+1]) {
+					t.Fatalf("n=%d: record %d is %+v, comparator sort has %+v", n, i, recs[i], want[i])
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 3; n++ {
+		for i := 0; i < 200; i++ {
+			check(rng, n)
+		}
+	}
+	for _, n := range []int{17, 1000, 100000, 5} {
+		check(rng, n)
+	}
+}
+
+// TestSortAllocationBudget pins the pre-sort at zero allocations once the
+// caller supplies scratch, including the tid-repair pass for shuffled ties.
+func TestSortAllocationBudget(t *testing.T) {
+	orig := mixedRecords(rand.New(rand.NewSource(2)), 20000)
+	recs := make([]Record, len(orig))
+	scratch := make([]Record, len(orig))
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(recs, orig)
+		scratch = SortByValue(recs, scratch)
+	})
+	if allocs != 0 {
+		t.Fatalf("SortByValue with scratch: %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -288,6 +373,55 @@ func TestStoreConcurrentRegions(t *testing.T) {
 					for _, r := range rs {
 						if r.Value != float64(w) || r.Tid != uint32(w*per+i) {
 							return fmt.Errorf("writer %d record %d corrupted: %+v", w, i, r)
+						}
+						i++
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestStoreConcurrentSetup drives each store the way the setup farm does:
+// several workers each Reserve and WriteAt slot 0 of whole attributes at
+// once.
+func TestStoreConcurrentSetup(t *testing.T) {
+	const nattr, workers, n = 6, 3, 700
+	for name, st := range storeFactories(t, nattr, 1) {
+		t.Run(name, func(t *testing.T) {
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for a := int(next.Add(1) - 1); a < nattr; a = int(next.Add(1) - 1) {
+						recs := make([]Record, n)
+						for i := range recs {
+							recs[i] = Record{Value: float64(a), Tid: uint32(i)}
+						}
+						off, err := st.Reserve(a, 0, n)
+						if err == nil {
+							err = st.WriteAt(a, 0, off, recs)
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			for a := 0; a < nattr; a++ {
+				i := 0
+				err := st.Scan(a, 0, 0, n, func(rs []Record) error {
+					for _, r := range rs {
+						if r.Value != float64(a) || r.Tid != uint32(i) {
+							return fmt.Errorf("attr %d record %d corrupted: %+v", a, i, r)
 						}
 						i++
 					}

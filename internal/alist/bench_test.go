@@ -3,6 +3,9 @@ package alist
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/synth"
 )
 
 func benchStoreRoundTrip(b *testing.B, st Store, n int) {
@@ -63,18 +66,40 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 	})
 }
 
-// BenchmarkSortByValue measures the one-time pre-sort of the setup phase.
+// BenchmarkSortByValue measures the one-time pre-sort of the setup phase:
+// one 100K-record list of uniform values, and every continuous list of
+// F7-A32-D100K (salary, commission with its zero ties, loan, ...) in turn.
 func BenchmarkSortByValue(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	orig := make([]Record, 100000)
-	for i := range orig {
-		orig[i] = Record{Value: rng.Float64(), Tid: uint32(i)}
+	uniform := make([]Record, 100000)
+	for i := range uniform {
+		uniform[i] = Record{Value: rng.Float64(), Tid: uint32(i)}
 	}
-	recs := make([]Record, len(orig))
-	b.SetBytes(int64(len(orig)) * RecordSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(recs, orig)
-		SortByValue(recs)
+	tbl, err := synth.Generate(synth.Config{Function: 7, Attrs: 32, Tuples: 100000, Seed: 1, Perturbation: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var f7 [][]Record
+	for a, attr := range tbl.Schema().Attrs {
+		if attr.Kind == dataset.Continuous {
+			f7 = append(f7, FromTable(tbl, a))
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		lists [][]Record
+	}{{"uniform", [][]Record{uniform}}, {"F7-A32", f7}} {
+		b.Run(bc.name, func(b *testing.B) {
+			recs := make([]Record, len(uniform))
+			scratch := make([]Record, len(uniform))
+			b.SetBytes(int64(len(bc.lists)*len(uniform)) * RecordSize)
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, l := range bc.lists {
+					copy(recs, l)
+					scratch = SortByValue(recs, scratch)
+				}
+			}
+		})
 	}
 }

@@ -1,13 +1,13 @@
 package alist
 
 import (
+	"cmp"
+	"math"
 	"slices"
-	"sync"
 )
 
-// cmpRecord is the (value, tid) total order used by the setup pre-sort.
-// Using a concrete comparator with slices.SortFunc avoids the reflect-based
-// swap machinery of sort.Slice, which showed up as ~16% of setup profiles.
+// cmpRecord is the (value, tid) total order of the setup pre-sort:
+// IsSortedByValue checks it, and SortByValue's tests compare against it.
 func cmpRecord(a, b Record) int {
 	if a.Value != b.Value {
 		if a.Value < b.Value {
@@ -24,96 +24,96 @@ func cmpRecord(a, b Record) int {
 	return 0
 }
 
-// SortByValue sorts a continuous attribute list by value (ties broken by tid
-// for determinism). This is the one-time pre-sort of the setup phase.
-func SortByValue(recs []Record) {
-	slices.SortFunc(recs, cmpRecord)
+// sortKey maps a value to a uint64 whose unsigned order is the value's
+// order: negative values have every bit flipped, the rest only the sign bit.
+// −0 is folded onto +0 first, because cmpRecord treats them as equal: the two
+// then tie and keep their input order, so a tid-ordered list with both still
+// leaves SortByValue's final tid pass nothing to do.
+func sortKey(v float64) uint64 {
+	if v == 0 {
+		v = 0
+	}
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
-// IsSortedByValue reports whether the list is sorted by (value, tid).
-func IsSortedByValue(recs []Record) bool {
-	return slices.IsSortedFunc(recs, cmpRecord)
-}
-
-// parallelSortMin is the smallest per-worker chunk worth a goroutine; below
-// it the merge overhead dominates and the serial sort wins.
-const parallelSortMin = 8192
-
-// SortByValueParallel sorts like SortByValue using up to workers goroutines:
-// the list is cut into equal chunks, chunks are sorted concurrently, and then
-// merged pairwise (also concurrently) through one temporary buffer. Because
-// (value, tid) is a total order over engine-built lists (tids are unique),
-// the result is identical to SortByValue's for any worker count — the
-// property the setup phase needs for bit-identical trees.
-func SortByValueParallel(recs []Record, workers int) {
+// SortByValue sorts a continuous attribute list by value, ties broken by tid
+// — for any list without NaNs exactly what slices.SortFunc(recs, cmpRecord)
+// produces. This is the one-time pre-sort of the setup phase.
+//
+// It is a stable LSD radix sort over sortKey in six 11-bit digits (six
+// passes where 8-bit digits take eight; the counts still fit the stack). One
+// pass counts every digit's histogram, a digit all keys share is skipped, and
+// each remaining digit moves the records between recs and scratch. Stability
+// keeps equal values in input order, so a last linear pass only has to put
+// into tid order the runs of equal values whose tids are not ascending;
+// FromTable's tid-ordered lists have none.
+//
+// scratch is the ping-pong buffer; it is grown when shorter than recs and
+// returned so a caller sorting many lists allocates it once.
+func SortByValue(recs, scratch []Record) []Record {
+	const (
+		bits    = 11
+		buckets = 1 << bits
+		mask    = buckets - 1
+	)
 	n := len(recs)
-	if workers > n/parallelSortMin {
-		workers = n / parallelSortMin
+	if cap(scratch) < n {
+		scratch = make([]Record, n)
 	}
-	if workers <= 1 {
-		SortByValue(recs)
-		return
+	scratch = scratch[:n]
+	if n < 2 {
+		return scratch
 	}
 
-	bounds := make([]int, workers+1)
-	for i := range bounds {
-		bounds[i] = i * n / workers
+	// uint32 counts suffice: with unique uint32 tids a list has at most
+	// 1<<32 records, and the offsets below are exact modulo 1<<32.
+	var counts [(64 + bits - 1) / bits][buckets]uint32
+	for i := range recs {
+		k := sortKey(recs[i].Value)
+		for d := range counts {
+			counts[d][k>>(bits*d)&mask]++
+		}
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			slices.SortFunc(recs[lo:hi], cmpRecord)
-		}(bounds[i], bounds[i+1])
-	}
-	wg.Wait()
 
-	tmp := make([]Record, n)
-	src, dst := recs, tmp
-	for len(bounds) > 2 {
-		next := make([]int, 0, len(bounds)/2+2)
-		var mg sync.WaitGroup
-		i := 0
-		for ; i+2 < len(bounds); i += 2 {
-			lo, mid, hi := bounds[i], bounds[i+1], bounds[i+2]
-			mg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mg.Done()
-				mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
-			}(lo, mid, hi)
-			next = append(next, lo)
+	src, dst := recs, scratch
+	first := sortKey(recs[0].Value)
+	for d := range counts {
+		c := &counts[d]
+		shift := bits * d
+		if c[first>>shift&mask] == uint32(n) {
+			continue
 		}
-		if i+1 < len(bounds) {
-			// Odd run out: carry it through unchanged.
-			lo, hi := bounds[i], bounds[i+1]
-			copy(dst[lo:hi], src[lo:hi])
-			next = append(next, lo)
+		var sum uint32
+		for b, cnt := range c {
+			c[b] = sum
+			sum += cnt
 		}
-		mg.Wait()
-		next = append(next, n)
-		bounds = next
+		for _, r := range src {
+			b := sortKey(r.Value) >> shift & mask
+			dst[c[b]] = r
+			c[b]++
+		}
 		src, dst = dst, src
 	}
 	if &src[0] != &recs[0] {
 		copy(recs, src)
 	}
+
+	for lo := 0; lo < n; {
+		hi, ordered := lo+1, true
+		for ; hi < n && recs[hi].Value == recs[lo].Value; hi++ {
+			ordered = ordered && recs[hi-1].Tid < recs[hi].Tid
+		}
+		if !ordered {
+			slices.SortFunc(recs[lo:hi], func(a, b Record) int { return cmp.Compare(a.Tid, b.Tid) })
+		}
+		lo = hi
+	}
+	return scratch
 }
 
-// mergeRuns merges two sorted runs into dst (len(dst) = len(a)+len(b)).
-// Ties prefer a, keeping the merge deterministic even for duplicate keys.
-func mergeRuns(dst, a, b []Record) {
-	k := 0
-	for len(a) > 0 && len(b) > 0 {
-		if cmpRecord(a[0], b[0]) <= 0 {
-			dst[k] = a[0]
-			a = a[1:]
-		} else {
-			dst[k] = b[0]
-			b = b[1:]
-		}
-		k++
-	}
-	k += copy(dst[k:], a)
-	copy(dst[k:], b)
+// IsSortedByValue reports whether the list is sorted by (value, tid).
+func IsSortedByValue(recs []Record) bool {
+	return slices.IsSortedFunc(recs, cmpRecord)
 }

@@ -213,7 +213,8 @@ type FigureOpts struct {
 	// more aggressively" follow-up in the total-time figures: the
 	// setup+sort portion is divided by the processor count (attribute
 	// lists are created and sorted independently per attribute, so the
-	// phase parallelizes near-perfectly while attrs >= P).
+	// phase parallelizes near-perfectly while attrs >= P). Real mode needs
+	// no model: core.Build runs setup on Procs workers.
 	ParallelSetup bool
 }
 

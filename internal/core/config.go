@@ -98,7 +98,8 @@ type Config struct {
 	// Algorithm selects the growth scheme. Default Serial.
 	Algorithm Algorithm
 	// Procs is the number of worker "processors" (goroutines) for the
-	// parallel schemes. Default 1.
+	// parallel schemes, and for the setup phase of every attribute-list
+	// scheme, Serial included. Default 1.
 	Procs int
 	// WindowK is the window size K of FWK and MWK. Default 4, the value
 	// the paper found to work well in practice.
@@ -132,10 +133,6 @@ type Config struct {
 	// Basic (default, the paper's Fig. 7) or MWK — the hybrid the paper
 	// suggests in §3.4 ("we can also use FWK or MWK as the subroutine").
 	SubtreeInner Algorithm
-	// ParallelSetup parallelizes attribute-list creation and sorting
-	// across Procs workers — the "parallelizing the setup phase more
-	// aggressively" improvement the paper leaves as future work.
-	ParallelSetup bool
 	// Trace, when non-nil, is filled with measured per-work-unit costs.
 	// Cost tracing forces the work itself to run serially (the paper's
 	// profiling configuration) regardless of Algorithm.

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -281,18 +284,86 @@ func TestNodeInvariants(t *testing.T) {
 	walk(tr.Root)
 }
 
+// TestParallelSetupMatchesSerialSetup: nine attributes (six continuous) at
+// four workers — fewer sortable lists than two per worker — must set up on
+// the attribute farm exactly as one worker does.
 func TestParallelSetupMatchesSerialSetup(t *testing.T) {
 	tbl := synthTable(t, 2, 9, 400, 13)
 	ref, _, err := Build(tbl, Config{Algorithm: Serial})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Build(tbl, Config{Algorithm: MWK, Procs: 4, ParallelSetup: true})
+	got, _, err := Build(tbl, Config{Algorithm: MWK, Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tree.Equal(ref, got) {
 		t.Fatalf("tree differs: %s", tree.Diff(ref, got))
+	}
+}
+
+// TestTieHeavyColumnTreesByteIdentical runs the radix pre-sort through every
+// list-based engine on a column that is mostly ties, negative, and mixes −0
+// with +0: every engine at Procs 1-4 on both backends — Serial included, whose
+// setup is also parallel at Procs > 1 — must serialize to Serial P=1's bytes.
+func TestTieHeavyColumnTreesByteIdentical(t *testing.T) {
+	schema := &dataset.Schema{
+		Attrs: []dataset.Attribute{
+			{Name: "debt", Kind: dataset.Continuous},
+			{Name: "score", Kind: dataset.Continuous},
+			{Name: "kind", Kind: dataset.Categorical, Categories: []string{"a", "b", "c"}},
+		},
+		Classes: []string{"no", "yes"},
+	}
+	tbl, err := dataset.NewTable(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	ties := []float64{-3, -2, -1, math.Copysign(0, -1), 0}
+	for i := 0; i < 700; i++ {
+		debt := -rng.ExpFloat64() * 1000
+		if rng.Intn(2) == 0 {
+			debt = ties[rng.Intn(len(ties))]
+		}
+		score := rng.NormFloat64()
+		cls := int32(0)
+		if debt < -1.5 != (score > 0.8) || rng.Intn(10) == 0 {
+			cls = 1
+		}
+		tbl.AppendFast(dataset.Tuple{
+			Cont:  []float64{debt, score, 0},
+			Cat:   []int32{0, 0, int32(rng.Intn(3))},
+			Class: cls,
+		})
+	}
+	encode := func(tr *tree.Tree) []byte {
+		var b bytes.Buffer
+		if err := tr.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	ref, _, err := Build(tbl, Config{Algorithm: Serial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encode(ref)
+	for _, storage := range []Storage{Memory, Disk} {
+		for _, alg := range []Algorithm{Serial, Basic, FWK, MWK, Subtree, RecPar} {
+			for procs := 1; procs <= 4; procs++ {
+				got, _, err := Build(tbl, Config{
+					Algorithm: alg, Procs: procs, Storage: storage, TempDir: t.TempDir(),
+				})
+				if err != nil {
+					t.Fatalf("%v/%v/P%d: %v", storage, alg, procs, err)
+				}
+				if !bytes.Equal(encode(got), want) {
+					t.Fatalf("%v/%v/P%d: tree differs from Serial P=1: %s",
+						storage, alg, procs, tree.Diff(ref, got))
+				}
+			}
+		}
 	}
 }
 

@@ -278,21 +278,20 @@ func (e *engine) setup() (*leafState, error) {
 
 	lists := make([][]alist.Record, e.nattr)
 
-	workers := 1
-	if e.cfg.ParallelSetup {
-		workers = e.cfg.Procs
-	}
-
-	runPhase := func(inner func(a int) error) error {
-		fn := func(a int) error {
+	// Every phase is a farm over the attributes, which are independent
+	// tasks (the paper's "parallelizing the setup phase more aggressively").
+	// inner gets the worker id so per-worker buffers need no locking.
+	workers := min(e.cfg.Procs, e.nattr)
+	runPhase := func(inner func(w, a int) error) error {
+		fn := func(w, a int) error {
 			if err := e.cancelled(); err != nil {
 				return err
 			}
-			return inner(a)
+			return inner(w, a)
 		}
 		if workers == 1 {
 			for a := 0; a < e.nattr; a++ {
-				if err := fn(a); err != nil {
+				if err := fn(0, a); err != nil {
 					return err
 				}
 			}
@@ -313,7 +312,7 @@ func (e *engine) setup() (*leafState, error) {
 						if a >= e.nattr || firstErr.Failed() {
 							return
 						}
-						if err := fn(a); err != nil {
+						if err := fn(w, a); err != nil {
 							firstErr.Set(err)
 							return
 						}
@@ -327,7 +326,7 @@ func (e *engine) setup() (*leafState, error) {
 
 	// Phase 1 (setup): create the attribute lists.
 	t0 := time.Now()
-	if err := runPhase(func(a int) error {
+	if err := runPhase(func(_, a int) error {
 		lists[a] = alist.FromTable(e.tbl, a)
 		return nil
 	}); err != nil {
@@ -335,30 +334,13 @@ func (e *engine) setup() (*leafState, error) {
 	}
 	e.timings.Setup += time.Since(t0)
 
-	// Phase 2 (sort): pre-sort continuous lists by value. With plenty of
-	// continuous attributes the attributes themselves are the parallel
-	// units; with fewer sortable lists than 2 workers each, parallelism
-	// must come from inside a single attribute's sort (chunk sort + merge),
-	// so low-attribute datasets also use all P processors.
+	// Phase 2 (sort): pre-sort continuous lists by value, one radix-sort
+	// buffer per worker rather than per attribute.
 	t0 = time.Now()
-	ncont := 0
-	for a := 0; a < e.nattr; a++ {
+	scratch := make([][]alist.Record, workers)
+	if err := runPhase(func(w, a int) error {
 		if e.schema.Attrs[a].Kind == dataset.Continuous {
-			ncont++
-		}
-	}
-	if workers > 1 && ncont < 2*workers {
-		for a := 0; a < e.nattr; a++ {
-			if err := e.cancelled(); err != nil {
-				return nil, err
-			}
-			if e.schema.Attrs[a].Kind == dataset.Continuous {
-				alist.SortByValueParallel(lists[a], workers)
-			}
-		}
-	} else if err := runPhase(func(a int) error {
-		if e.schema.Attrs[a].Kind == dataset.Continuous {
-			alist.SortByValue(lists[a])
+			scratch[w] = alist.SortByValue(lists[a], scratch[w])
 		}
 		return nil
 	}); err != nil {
@@ -368,7 +350,7 @@ func (e *engine) setup() (*leafState, error) {
 
 	// Phase 3 (setup): write lists into slot 0.
 	t0 = time.Now()
-	if err := runPhase(func(a int) error {
+	if err := runPhase(func(_, a int) error {
 		off, err := e.store.Reserve(a, 0, e.ntuples)
 		if err != nil {
 			return err

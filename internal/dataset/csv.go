@@ -99,7 +99,7 @@ func (t *Table) WriteCSVFile(path string) error {
 // ReadCSV reads a CSV training set produced by WriteCSV (or compatible) into
 // a table conforming to the given schema. The header row must match the
 // schema's attribute names followed by "class". Unknown category or class
-// names are an error.
+// names and non-finite continuous values (NaN, ±Inf) are an error.
 func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
@@ -160,6 +160,10 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 					return nil, fmt.Errorf("dataset: line %d, attribute %q: %w",
 						line, schema.Attrs[a].Name, err)
 				}
+				if !finite(v) {
+					return nil, fmt.Errorf("dataset: line %d, attribute %q: non-finite value %q",
+						line, schema.Attrs[a].Name, rec[a])
+				}
 				tu.Cont[a] = v
 			} else {
 				code, ok := catCodes[a][rec[a]]
@@ -192,8 +196,9 @@ func ReadCSVFile(path string, schema *Schema) (*Table, error) {
 
 // InferCSV reads a CSV file with header and infers a schema: columns whose
 // every value parses as a float become continuous; all others categorical
-// (categories in first-seen order). The last column is the class. The whole
-// input is buffered in string form during inference.
+// (categories in first-seen order). The last column is the class. A
+// continuous column holding NaN or ±Inf is an error. The whole input is
+// buffered in string form during inference.
 func InferCSV(r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -266,10 +271,15 @@ func InferCSV(r io.Reader) (*Table, error) {
 		classCodes[name] = int32(c)
 	}
 	tu := Tuple{Cont: make([]float64, nattr), Cat: make([]int32, nattr)}
-	for _, row := range data {
+	for i, row := range data {
 		for a := 0; a < nattr; a++ {
 			if schema.Attrs[a].Kind == Continuous {
-				tu.Cont[a], _ = strconv.ParseFloat(row[a], 64)
+				v, _ := strconv.ParseFloat(row[a], 64)
+				if !finite(v) {
+					return nil, fmt.Errorf("dataset: line %d, attribute %q: non-finite value %q",
+						i+2, header[a], row[a])
+				}
+				tu.Cont[a] = v
 			} else {
 				tu.Cat[a] = catCodes[a][row[a]]
 			}

@@ -11,6 +11,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 )
 
 // Kind describes the domain of an attribute.
@@ -224,26 +225,36 @@ type Tuple struct {
 }
 
 // Append adds one tuple to the table. Values are read from tu according to
-// the schema; out-of-range codes are rejected.
+// the schema; non-finite continuous values and out-of-range codes are
+// rejected, naming the row, and leave the table unchanged.
 func (t *Table) Append(tu Tuple) error {
+	row := t.NumTuples()
 	for a := range t.schema.Attrs {
-		switch t.schema.Attrs[a].Kind {
+		attr := &t.schema.Attrs[a]
+		switch attr.Kind {
 		case Continuous:
-			t.cont[a] = append(t.cont[a], tu.Cont[a])
-		case Categorical:
-			code := tu.Cat[a]
-			if code < 0 || int(code) >= len(t.schema.Attrs[a].Categories) {
-				return fmt.Errorf("dataset: attribute %q: category code %d out of range [0,%d)",
-					t.schema.Attrs[a].Name, code, len(t.schema.Attrs[a].Categories))
+			if v := tu.Cont[a]; !finite(v) {
+				return fmt.Errorf("dataset: row %d, attribute %q: non-finite value %v", row, attr.Name, v)
 			}
-			t.cat[a] = append(t.cat[a], code)
+		case Categorical:
+			if code := tu.Cat[a]; code < 0 || int(code) >= len(attr.Categories) {
+				return fmt.Errorf("dataset: row %d, attribute %q: category code %d out of range [0,%d)",
+					row, attr.Name, code, len(attr.Categories))
+			}
 		}
 	}
 	if tu.Class < 0 || int(tu.Class) >= len(t.schema.Classes) {
-		return fmt.Errorf("dataset: class code %d out of range [0,%d)", tu.Class, len(t.schema.Classes))
+		return fmt.Errorf("dataset: row %d: class code %d out of range [0,%d)", row, tu.Class, len(t.schema.Classes))
 	}
-	t.class = append(t.class, tu.Class)
+	t.AppendFast(tu)
 	return nil
+}
+
+// finite reports whether a continuous value can be trained on. The split
+// search orders values and splits midway between neighbours, which neither
+// NaN nor ±Inf admits, so every checked loader of training rows rejects them.
+func finite(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // AppendFast adds one tuple without validation. It is used by bulk loaders

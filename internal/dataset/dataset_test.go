@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -180,6 +181,37 @@ func TestInferCSV(t *testing.T) {
 	}
 	if _, err := InferCSV(strings.NewReader("a,class\n")); err == nil {
 		t.Fatal("header-only CSV should fail")
+	}
+}
+
+// TestNonFiniteRejectedAtLoad: NaN and ±Inf in a continuous column would
+// load and then break every engine's split search, so each checked loader
+// rejects them with an error naming the line or row and the attribute, and
+// Append leaves the table as it was.
+func TestNonFiniteRejectedAtLoad(t *testing.T) {
+	const want = `line 3, attribute "age"`
+	for _, raw := range []string{"NaN", "+Inf", "-Inf"} {
+		in := "age,color,class\n30,red,yes\n" + raw + ",green,no\n"
+		if _, err := ReadCSV(strings.NewReader(in), validSchema()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadCSV %s: err %v, want one naming %s", raw, err, want)
+		}
+		if _, err := InferCSV(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("InferCSV %s: err %v, want one naming %s", raw, err, want)
+		}
+	}
+
+	tbl, _ := NewTable(validSchema())
+	if err := tbl.Append(Tuple{Cont: []float64{30, 0}, Cat: []int32{0, 1}, Class: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := tbl.Append(Tuple{Cont: []float64{v, 0}, Cat: []int32{0, 1}, Class: 0})
+		if want := `row 1, attribute "age"`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Append %v: err %v, want one naming %s", v, err, want)
+		}
+		if tbl.NumTuples() != 1 || len(tbl.ContColumn(0)) != 1 {
+			t.Fatalf("Append %v: rejected row changed the table", v)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -53,6 +54,11 @@ func TestDecodeValidates(t *testing.T) {
 	}
 	if _, err := w.Decode([]string{"1.5", "red"}, "C"); err == nil {
 		t.Error("unknown class should fail")
+	}
+	for _, raw := range []string{"NaN", "Inf", "-Inf"} {
+		if _, err := w.Decode([]string{raw, "red"}, "A"); err == nil || !strings.Contains(err.Error(), `"x"`) {
+			t.Errorf("non-finite %s: err %v, want one naming attribute \"x\"", raw, err)
+		}
 	}
 	tu, err := w.Decode([]string{" 1.5 ", "green"}, "B")
 	if err != nil {

@@ -9,6 +9,7 @@ package ingest
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,6 +121,11 @@ func (w *Window) Decode(vals []string, class string) (dataset.Tuple, error) {
 				if v, err = strconv.ParseFloat(strings.TrimSpace(raw), 64); err != nil {
 					return dataset.Tuple{}, fmt.Errorf("ingest: attribute %q: %v", attr.Name, err)
 				}
+			}
+			// Every later retrain reads the window, and the split search
+			// admits neither NaN nor ±Inf.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return dataset.Tuple{}, fmt.Errorf("ingest: attribute %q: non-finite value %q", attr.Name, raw)
 			}
 			tu.Cont[a] = v
 			continue

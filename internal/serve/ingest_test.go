@@ -189,6 +189,20 @@ func TestIngestContract(t *testing.T) {
 	if got := s.ing.Load().windows["default"].Size(); got != 0 {
 		t.Fatalf("window holds %d rows after rejected bulk, want 0", got)
 	}
+	// A non-finite value (salary is attribute 0) is a row error too: in
+	// the window it would break every later retrain.
+	nanVals := append([]string{"NaN"}, rows[1].vals[1:]...)
+	reqNaN := ingestRequest{Rows: []ingestRow{
+		{Values: rows[0].vals, Class: rows[0].class},
+		{Values: nanVals, Class: rows[1].class},
+	}}
+	code, errDoc = postRaw(t, ts.URL+"/v1/ingest", mustJSON(t, reqNaN))
+	if code != http.StatusUnprocessableEntity || !strings.Contains(errDoc["error"], `row 1: ingest: attribute "salary"`) {
+		t.Fatalf("NaN row: status %d body %q, want 422 naming row 1 and salary", code, errDoc["error"])
+	}
+	if got := s.ing.Load().windows["default"].Size(); got != 0 {
+		t.Fatalf("window holds %d rows after rejected NaN bulk, want 0", got)
+	}
 
 	// Single-row and bulk happy paths, on both the /v1 and alias paths.
 	var single ingestResponse

@@ -17,7 +17,7 @@ func benchRecords(n int, distinct int) []alist.Record {
 			Class: int32(rng.Intn(2)),
 		}
 	}
-	alist.SortByValue(recs)
+	alist.SortByValue(recs, nil)
 	return recs
 }
 

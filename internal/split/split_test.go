@@ -153,7 +153,7 @@ func TestContEvalMatchesBruteForce(t *testing.T) {
 				Class: int32(rng.Intn(3)),
 			}
 		}
-		alist.SortByValue(recs)
+		alist.SortByValue(recs, nil)
 		total := make([]int64, 3)
 		for _, r := range recs {
 			total[r.Class]++
@@ -188,7 +188,7 @@ func TestContEvalChunksInvariant(t *testing.T) {
 	for i := range recs {
 		recs[i] = alist.Record{Value: rng.Float64() * 100, Tid: uint32(i), Class: int32(rng.Intn(2))}
 	}
-	alist.SortByValue(recs)
+	alist.SortByValue(recs, nil)
 	total := []int64{0, 0}
 	for _, r := range recs {
 		total[r.Class]++

@@ -137,8 +137,9 @@ const (
 type Options struct {
 	// Algorithm selects the growth scheme.
 	Algorithm Algorithm
-	// Procs is the number of worker goroutines for parallel schemes
-	// (default 1).
+	// Procs is the number of worker goroutines for parallel schemes and
+	// for the setup phase (attribute-list creation and pre-sort) of every
+	// scheme but Hist (default 1).
 	Procs int
 	// WindowK is the window size for FWK/MWK (default 4).
 	WindowK int
@@ -165,8 +166,6 @@ type Options struct {
 	// PartialPrune uses SLIQ's partial-pruning option set (a child may be
 	// collapsed while its sibling subtree survives); implies Prune.
 	PartialPrune bool
-	// ParallelSetup parallelizes attribute-list creation and sorting.
-	ParallelSetup bool
 	// Monitor, when non-nil, observes the build live: poll
 	// Monitor.Snapshot from another goroutine for in-progress per-worker
 	// phase totals. Each training run needs its own BuildMonitor.
@@ -204,15 +203,14 @@ type Options struct {
 
 func (o Options) coreConfig() core.Config {
 	cfg := core.Config{
-		Algorithm:     coreAlgorithm(o.Algorithm),
-		Procs:         o.Procs,
-		WindowK:       o.WindowK,
-		MinSplit:      int64(o.MinSplit),
-		MaxDepth:      o.MaxDepth,
-		MinGiniGain:   o.MinGiniGain,
-		MaxBins:       o.MaxBins,
-		ParallelSetup: o.ParallelSetup,
-		TempDir:       o.TempDir,
+		Algorithm:   coreAlgorithm(o.Algorithm),
+		Procs:       o.Procs,
+		WindowK:     o.WindowK,
+		MinSplit:    int64(o.MinSplit),
+		MaxDepth:    o.MaxDepth,
+		MinGiniGain: o.MinGiniGain,
+		MaxBins:     o.MaxBins,
+		TempDir:     o.TempDir,
 	}
 	switch o.Storage {
 	case Disk:
