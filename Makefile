@@ -2,9 +2,9 @@
 # vets everything, checks formatting, runs the full test suite, the
 # allocation-budget gate (E/W/S work units must not allocate),
 # race-checks the concurrent packages (the public API, the model server,
-# the flat batch predictor, the attribute-list stores, and the training
-# engines), and vets and tests the benchmark/ module against the API
-# surface it calls.
+# the flat batch predictor, the attribute-list stores, the training
+# engines and their scheduling primitives), and vets and tests the
+# benchmark/ module against the API surface it calls.
 
 GO ?= go
 
@@ -35,7 +35,7 @@ alloc-check:
 	$(GO) test -count=1 -run 'TestHistWorkUnitAllocationBudget' ./internal/hist/
 
 race:
-	$(GO) test -race . ./internal/serve/... ./internal/flat/... ./internal/alist/... ./internal/core/... ./internal/trace/... ./internal/hist/... ./internal/cluster/... ./internal/loadtest/...
+	$(GO) test -race . ./internal/serve/... ./internal/flat/... ./internal/alist/... ./internal/core/... ./internal/sched/... ./internal/trace/... ./internal/hist/... ./internal/cluster/... ./internal/loadtest/...
 
 # The chaos matrix: every scheme x every storage backend x deterministic
 # fault plans (transient/permanent/short-write/panic/latency), under the

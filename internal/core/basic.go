@@ -1,161 +1,64 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
-// runBasic implements the BASIC scheme (paper Fig. 3): per level, the E and
-// S phases are attribute-data-parallel with dynamic attribute scheduling
-// (an atomic counter replaces the paper's counter+lock), separated by
-// barriers; the W phase — winner selection and probe construction for every
-// leaf — is performed serially by a designated master while the other
-// processors wait at the barrier.
-func (e *engine) runBasic(root *leafState) error {
-	frontier := e.rootFrontier(root)
-	if len(frontier) == 0 {
-		return nil
+// levelBasic runs one level of group g with the BASIC policy (paper Fig. 3):
+// the E and S phases are attribute-data-parallel with dynamic attribute
+// scheduling (an atomic counter replaces the paper's counter+lock),
+// separated by barriers; the W phase — winner selection and probe
+// construction for every leaf — is performed serially by the group master
+// while the other processors wait at the barrier. SUBTREE groups run the
+// same level (§3.3). It reports false when the group barrier was broken by
+// an abort.
+func (e *engine) levelBasic(g *group, master bool, ln *trace.Lane, sc *scratch) bool {
+	lvl := g.level
+	e.sweep(g, &g.eCtr, trace.PhaseEval, e.evalLeafAttr, ln, sc)
+	if !g.bar.TimedWait(ln, lvl) {
+		return false
 	}
-	P := e.cfg.Procs
-	bar := sched.NewBarrier(P)
-	var ferr sched.ErrOnce
-	var eCtr, sCtr atomic.Int64
 
-	// Shared level state; written only by the master between barriers.
-	var next []*leafState
-	var done bool
-	level := 0
-
-	worker := func(id int) {
-		ln := e.rec.Lane(id)
-		sc := e.newScratch()
-		for {
-			// lvl is this iteration's level, captured while the master's
-			// level++ is still a barrier away.
-			lvl := level
-
-			// E phase: dynamically grab attributes; evaluate the grabbed
-			// attribute for all leaves of the level so each attribute's
-			// physical files are read once, sequentially.
-			for !ferr.Failed() {
-				a := int(eCtr.Add(1) - 1)
-				if a >= e.nattr {
-					break
-				}
-				t0 := time.Now()
-				for _, l := range frontier {
-					if err := e.evalLeafAttr(l, a, sc); err != nil {
-						ferr.Set(err)
-						break
-					}
-				}
-				ln.AddN(lvl, trace.PhaseEval, time.Since(t0), int64(len(frontier)))
+	// W phase: the master alone finds winners and builds probes — the
+	// sequential bottleneck MWK later removes.
+	if master && !e.ferr.Failed() {
+		for _, l := range g.frontier {
+			t0 := time.Now()
+			if err := e.leafW(g, l, sc); err != nil {
+				e.ferr.Set(err)
+				break
 			}
-			if !bar.TimedWait(ln, lvl) {
-				return // build aborted by a dead worker's teardown
-			}
-
-			// W phase: the master alone finds winners and builds probes —
-			// the sequential bottleneck MWK later removes.
-			if id == 0 && !ferr.Failed() {
-				nextBase := e.pairBase(level + 1)
-				for _, l := range frontier {
-					t0 := time.Now()
-					if err := e.winnerAndProbe(l, sc); err != nil {
-						ferr.Set(err)
-						break
-					}
-					if !l.didSplit {
-						ln.Add(lvl, trace.PhaseWinner, time.Since(t0))
-						continue
-					}
-					for side, c := range l.children {
-						if c.terminal {
-							continue
-						}
-						if err := e.registerChild(c, nextBase+side); err != nil {
-							ferr.Set(err)
-							break
-						}
-					}
-					ln.Add(lvl, trace.PhaseWinner, time.Since(t0))
-				}
-			}
-			if !bar.TimedWait(ln, lvl) {
-				return // build aborted by a dead worker's teardown
-			}
-
-			// S phase: dynamically grab attributes again and split.
-			for !ferr.Failed() {
-				a := int(sCtr.Add(1) - 1)
-				if a >= e.nattr {
-					break
-				}
-				t0 := time.Now()
-				for _, l := range frontier {
-					if err := e.splitLeafAttr(l, a, sc); err != nil {
-						ferr.Set(err)
-						break
-					}
-				}
-				ln.AddN(lvl, trace.PhaseSplit, time.Since(t0), int64(len(frontier)))
-			}
-			if !bar.TimedWait(ln, lvl) {
-				return // build aborted by a dead worker's teardown
-			}
-
-			// Level bookkeeping by the master (slot resets are split-phase
-			// cleanup, so their cost lands in S with zero extra units).
-			if id == 0 {
-				t0 := time.Now()
-				next = nil
-				for li, l := range frontier {
-					if !ferr.Failed() && l.didSplit {
-						for _, c := range l.children {
-							if !c.terminal {
-								next = append(next, childLeafState(c, li, e.nattr))
-							}
-						}
-					}
-					releaseLeaf(l)
-				}
-				curBase := e.pairBase(level)
-				if err := e.resetSlots(curBase, curBase+1); err != nil {
-					ferr.Set(err)
-				}
-				if ferr.Failed() {
-					next = nil
-				}
-				frontier = next
-				level++
-				eCtr.Store(0)
-				sCtr.Store(0)
-				done = len(frontier) == 0
-				ln.AddN(lvl, trace.PhaseSplit, time.Since(t0), 0)
-			}
-			if !bar.TimedWait(ln, lvl) {
-				return // build aborted by a dead worker's teardown
-			}
-			if done {
-				return
-			}
+			ln.Add(lvl, trace.PhaseWinner, time.Since(t0))
 		}
 	}
-
-	var wg sync.WaitGroup
-	for id := 0; id < P; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			// A panicking worker can never rejoin the barrier protocol;
-			// breaking the barrier releases every surviving peer.
-			sched.Guard(&ferr, bar.Abort, id, func() { worker(id) })
-		}(id)
+	if !g.bar.TimedWait(ln, lvl) {
+		return false
 	}
-	wg.Wait()
-	return ferr.Get()
+
+	e.sweep(g, &g.sCtr, trace.PhaseSplit, e.splitLeafAttr, ln, sc)
+	return g.bar.TimedWait(ln, lvl)
+}
+
+// sweep is one BASIC E or S phase: workers grab attributes from ctr and run
+// unit for the grabbed attribute on every leaf of the group, so each
+// attribute's physical files are read once, sequentially, per level.
+func (e *engine) sweep(g *group, ctr *atomic.Int64, p trace.BuildPhase,
+	unit func(l *leafState, a int, sc *scratch) error, ln *trace.Lane, sc *scratch) {
+	for !e.ferr.Failed() {
+		a := int(ctr.Add(1) - 1)
+		if a >= e.nattr {
+			return
+		}
+		t0 := time.Now()
+		for _, l := range g.frontier {
+			if err := unit(l, a, sc); err != nil {
+				e.ferr.Set(err)
+				break
+			}
+		}
+		ln.AddN(g.level, p, time.Since(t0), int64(len(g.frontier)))
+	}
 }

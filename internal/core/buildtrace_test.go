@@ -14,14 +14,15 @@ import (
 // measured reconciliation on quiet hardware.
 func TestBuildRecorderReconciles(t *testing.T) {
 	tbl := synthTable(t, 7, 9, 4000, 1)
-	for _, alg := range []Algorithm{Serial, Basic, FWK, MWK, Subtree, RecPar, Hist} {
-		t.Run(alg.String(), func(t *testing.T) {
+	for _, s := range append(listSchemes(), scheme{alg: Hist}) {
+		alg := s.alg
+		t.Run(s.String(), func(t *testing.T) {
 			procs := 3
 			if alg == Serial {
 				procs = 1
 			}
 			rec := trace.NewRecorder(procs)
-			_, tm, err := Build(tbl, Config{Algorithm: alg, Procs: procs, Recorder: rec})
+			_, tm, err := Build(tbl, Config{Algorithm: alg, SubtreeInner: s.inner, Procs: procs, Recorder: rec})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -73,6 +73,27 @@ func chaosPlans() []chaosPlan {
 	}
 }
 
+// scheme is one row of the failure suites: an algorithm and, for SUBTREE,
+// the level body its groups run.
+type scheme struct {
+	alg, inner Algorithm
+}
+
+func (s scheme) String() string {
+	if s.inner == MWK {
+		return s.alg.String() + "+MWK"
+	}
+	return s.alg.String()
+}
+
+// listSchemes are the attribute-list schemes the failure suites drive:
+// every algorithm plus SUBTREE running MWK levels (the §3.4 hybrid), whose
+// signal waits have their own error path.
+func listSchemes() []scheme {
+	return []scheme{{alg: Serial}, {alg: Basic}, {alg: FWK}, {alg: MWK}, {alg: Subtree}, {alg: RecPar},
+		{alg: Subtree, inner: MWK}}
+}
+
 // chaosStorage names the storage configurations of the matrix.
 type chaosStorage struct {
 	name string
@@ -130,11 +151,10 @@ func TestChaosMatrix(t *testing.T) {
 		t.Fatalf("reference build: %v", err)
 	}
 
-	algs := []Algorithm{Serial, Basic, FWK, MWK, Subtree, RecPar}
-	for _, alg := range algs {
+	for _, s := range listSchemes() {
 		for _, stor := range chaosStorages() {
 			for _, plan := range chaosPlans() {
-				name := fmt.Sprintf("%v/%s/%s", alg, stor.name, plan.name)
+				name := fmt.Sprintf("%v/%s/%s", s, stor.name, plan.name)
 				t.Run(name, func(t *testing.T) {
 					// Builds create their temp dirs under TMPDIR, so a
 					// fresh sandbox catches any leaked directory.
@@ -142,7 +162,7 @@ func TestChaosMatrix(t *testing.T) {
 					t.Setenv("TMPDIR", tmp)
 
 					var fs *faultstore.Store
-					cfg := Config{Algorithm: alg, Procs: 3, MaxDepth: 5}
+					cfg := Config{Algorithm: s.alg, SubtreeInner: s.inner, Procs: 3, MaxDepth: 5}
 					stor.cfg(&cfg)
 					cfg.StoreWrap = func(st alist.Store) alist.Store {
 						fs = faultstore.New(st, plan.rules...)

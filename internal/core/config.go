@@ -6,6 +6,13 @@
 // scheduling with an atomic counter, barriers, per-leaf condition variables,
 // and a FREE queue of idle processors), plus the record-data-parallel
 // baseline of §3.1 for comparison.
+//
+// A processor group is the one unit the level-synchronous list schemes run
+// on, and each policy's level is written once (levelBasic, levelFWK,
+// levelMWK): BASIC, FWK and MWK run one group of all processors level after
+// level, and SUBTREE runs the BASIC or MWK level on the groups it splits
+// and re-forms. Every engine starts its workers through sched.Spawn and
+// latches failures in the build's one error latch.
 package core
 
 import (

@@ -12,13 +12,13 @@ import (
 // barrier or condition wait.
 func TestContextCancellation(t *testing.T) {
 	tbl := synthTable(t, 7, 16, 4000, 31)
-	for _, alg := range []Algorithm{Serial, Basic, FWK, MWK, Subtree, RecPar} {
-		t.Run(alg.String(), func(t *testing.T) {
+	for _, s := range listSchemes() {
+		t.Run(s.String(), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() {
 				_, _, err := Build(tbl, Config{
-					Algorithm: alg, Procs: 3, Context: ctx,
+					Algorithm: s.alg, SubtreeInner: s.inner, Procs: 3, Context: ctx,
 				})
 				done <- err
 			}()

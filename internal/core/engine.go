@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -73,8 +72,8 @@ type engine struct {
 	timings Timings
 	rec     *trace.Recorder
 
-	tmpDir    string // non-empty when we created it and must remove it
-	nextChild atomic.Int64
+	tmpDir string        // non-empty when we created it and must remove it
+	ferr   sched.ErrOnce // the build's first-error latch, shared by every worker
 }
 
 // ErrWorkerPanic marks a build failure caused by a recovered panic in a
@@ -136,7 +135,9 @@ func Build(tbl *dataset.Table, cfg Config) (tr *tree.Tree, tm Timings, err error
 		return tr, e.timings, nil
 	}
 
-	slots := e.initialSlots()
+	// Two levels' lists are live at once; SUBTREE starts there and grows its
+	// slot pool on demand, up to 4 per concurrently active group.
+	slots := 2 * e.levelWidth()
 	if cfg.storeOverride != nil {
 		e.store = cfg.storeOverride
 		if err := e.store.EnsureSlots(slots); err != nil {
@@ -211,12 +212,8 @@ func Build(tbl *dataset.Table, cfg Config) (tr *tree.Tree, tm Timings, err error
 	switch cfg.Algorithm {
 	case Serial:
 		err = e.runSerial(root)
-	case Basic:
-		err = e.runBasic(root)
-	case FWK:
-		err = e.runFWK(root)
-	case MWK:
-		err = e.runMWK(root)
+	case Basic, FWK, MWK:
+		err = e.runGroup(root)
 	case Subtree:
 		err = e.runSubtree(root)
 	case RecPar:
@@ -239,30 +236,29 @@ func Build(tbl *dataset.Table, cfg Config) (tr *tree.Tree, tm Timings, err error
 	return tr, e.timings, nil
 }
 
-// initialSlots returns the per-attribute physical slot count the scheme
-// needs: 4 for serial/BASIC (current pair + alternate pair), 2K for the
-// windowed schemes, and a starting allocation for SUBTREE (which grows its
-// slot pool on demand, up to 4 per concurrently active group).
-func (e *engine) initialSlots() int {
-	switch e.cfg.Algorithm {
-	case FWK, MWK:
-		return 2 * e.cfg.WindowK
-	case Subtree:
-		return 4
-	default:
-		return 4
+// levelWidth is the number of per-attribute slots one level's lists span in
+// the double-buffered file scheme: K for the windowed schemes, a left/right
+// pair otherwise.
+func (e *engine) levelWidth() int {
+	if e.cfg.Algorithm == FWK || e.cfg.Algorithm == MWK {
+		return e.cfg.WindowK
 	}
+	return 2
 }
 
 // pairBase returns the first slot of the level's slot group for the
 // double-buffered schemes.
 func (e *engine) pairBase(level int) int {
-	switch e.cfg.Algorithm {
-	case FWK, MWK:
-		return (level % 2) * e.cfg.WindowK
-	default:
-		return (level % 2) * 2
+	return (level % 2) * e.levelWidth()
+}
+
+// levelSlots returns every slot of the level's slot group.
+func (e *engine) levelSlots(level int) []int {
+	slots := make([]int, e.levelWidth())
+	for i := range slots {
+		slots[i] = e.pairBase(level) + i
 	}
+	return slots
 }
 
 // setup builds the initial attribute lists (the paper's setup phase), sorts
@@ -280,65 +276,31 @@ func (e *engine) setup() (*leafState, error) {
 
 	// Every phase is a farm over the attributes, which are independent
 	// tasks (the paper's "parallelizing the setup phase more aggressively").
-	// inner gets the worker id so per-worker buffers need no locking.
+	// task gets the worker id so per-worker buffers need no locking.
 	workers := min(e.cfg.Procs, e.nattr)
-	runPhase := func(inner func(w, a int) error) error {
-		fn := func(w, a int) error {
+	phase := func(d *time.Duration, task func(w, a int) error) error {
+		t0 := time.Now()
+		defer func() { *d += time.Since(t0) }()
+		return sched.Run(workers, e.nattr, nil, func(w, a int) error {
 			if err := e.cancelled(); err != nil {
 				return err
 			}
-			return inner(w, a)
-		}
-		if workers == 1 {
-			for a := 0; a < e.nattr; a++ {
-				if err := fn(0, a); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		var next atomic.Int64
-		var firstErr sched.ErrOnce
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// No teardown: setup workers share no barriers, only the
-				// grab counter, so peers drain on firstErr alone.
-				sched.Guard(&firstErr, nil, w, func() {
-					for {
-						a := int(next.Add(1) - 1)
-						if a >= e.nattr || firstErr.Failed() {
-							return
-						}
-						if err := fn(w, a); err != nil {
-							firstErr.Set(err)
-							return
-						}
-					}
-				})
-			}()
-		}
-		wg.Wait()
-		return firstErr.Get()
+			return task(w, a)
+		})
 	}
 
 	// Phase 1 (setup): create the attribute lists.
-	t0 := time.Now()
-	if err := runPhase(func(_, a int) error {
+	if err := phase(&e.timings.Setup, func(_, a int) error {
 		lists[a] = alist.FromTable(e.tbl, a)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	e.timings.Setup += time.Since(t0)
 
 	// Phase 2 (sort): pre-sort continuous lists by value, one radix-sort
 	// buffer per worker rather than per attribute.
-	t0 = time.Now()
 	scratch := make([][]alist.Record, workers)
-	if err := runPhase(func(w, a int) error {
+	if err := phase(&e.timings.Sort, func(w, a int) error {
 		if e.schema.Attrs[a].Kind == dataset.Continuous {
 			scratch[w] = alist.SortByValue(lists[a], scratch[w])
 		}
@@ -346,11 +308,9 @@ func (e *engine) setup() (*leafState, error) {
 	}); err != nil {
 		return nil, err
 	}
-	e.timings.Sort += time.Since(t0)
 
 	// Phase 3 (setup): write lists into slot 0.
-	t0 = time.Now()
-	if err := runPhase(func(_, a int) error {
+	if err := phase(&e.timings.Setup, func(_, a int) error {
 		off, err := e.store.Reserve(a, 0, e.ntuples)
 		if err != nil {
 			return err
@@ -363,7 +323,6 @@ func (e *engine) setup() (*leafState, error) {
 	}); err != nil {
 		return nil, err
 	}
-	e.timings.Setup += time.Since(t0)
 
 	rootNode := &tree.Node{
 		Level:       0,
@@ -385,7 +344,7 @@ func (e *engine) setup() (*leafState, error) {
 	return root, nil
 }
 
-// frontierOrNil returns root as a one-leaf frontier unless the root is
+// rootFrontier returns root as a one-leaf frontier unless the root is
 // already terminal.
 func (e *engine) rootFrontier(root *leafState) []*leafState {
 	if e.terminal(0, root.n, root.hist) {
@@ -460,67 +419,43 @@ func (e *engine) evalLeafAttr(l *leafState, a int, sc *scratch) error {
 	return nil
 }
 
-// winnerAndProbe is the W work unit for a leaf: select the global winner
-// among the per-attribute candidates, scan the winning attribute's list to
-// build the probe and the children's class histograms, run the purity
-// pre-test, and attach child nodes. It does not assign child storage; see
-// registerChild.
-func (e *engine) winnerAndProbe(l *leafState, sc *scratch) error {
-	if err := e.cancelled(); err != nil {
-		return err
-	}
+// vote selects leaf l's winning split among its per-attribute candidates
+// into l.win, demoting it when the gini gain falls short of MinGiniGain, and
+// reports whether the leaf splits.
+func (e *engine) vote(l *leafState) bool {
 	best := split.Candidate{}
 	for _, c := range l.cands {
 		if c.Better(best) {
 			best = c
 		}
 	}
+	if best.Valid && e.cfg.MinGiniGain > 0 &&
+		split.Gini(l.hist, l.n)-best.Gini < e.cfg.MinGiniGain {
+		best.Valid = false
+	}
 	l.win = best
-	if !best.Valid {
+	return best.Valid
+}
+
+// winnerAndProbe is the W work unit for a leaf: select the global winner
+// among the per-attribute candidates, scan the winning attribute's list to
+// build the probe and the children's class histograms, run the purity
+// pre-test, and attach child nodes. It does not assign child storage; see
+// registerChildren.
+func (e *engine) winnerAndProbe(l *leafState, sc *scratch) error {
+	if err := e.cancelled(); err != nil {
+		return err
+	}
+	if !e.vote(l) {
 		return nil // leaf stays a leaf (no usable split)
 	}
-	if e.cfg.MinGiniGain > 0 &&
-		split.Gini(l.hist, l.n)-best.Gini < e.cfg.MinGiniGain {
-		l.win.Valid = false
-		return nil
-	}
+	best := l.win
 	prb := e.probes.ForLeaf(best.NLeft, best.NRight)
 	// The child histograms escape into the tree nodes, so they are the one
 	// per-leaf allocation W keeps.
 	histL := make([]int64, e.nclass)
 	histR := make([]int64, e.nclass)
-	sr := l.segs[best.Attr]
-	// Write-combine the probe bits when the design allows it: one atomic Or
-	// plus one atomic AndNot per 64 tids instead of one RMW per record.
-	batched := sc.wb != nil && sc.wb.Begin(prb)
-	err := e.scan(sc, best.Attr, sr.slot, sr.off, int(l.n), func(recs []alist.Record) error {
-		if batched {
-			for i := range recs {
-				left := best.GoesLeft(recs[i].Value)
-				sc.wb.Set(recs[i].Tid, left)
-				if left {
-					histL[recs[i].Class]++
-				} else {
-					histR[recs[i].Class]++
-				}
-			}
-			return nil
-		}
-		for i := range recs {
-			left := best.GoesLeft(recs[i].Value)
-			prb.Set(recs[i].Tid, left)
-			if left {
-				histL[recs[i].Class]++
-			} else {
-				histR[recs[i].Class]++
-			}
-		}
-		return nil
-	})
-	if batched {
-		sc.wb.Flush()
-	}
-	if err != nil {
+	if err := e.probeScan(l, prb, 0, l.n, histL, histR, sc); err != nil {
 		return err
 	}
 	var nl, nr int64
@@ -534,10 +469,57 @@ func (e *engine) winnerAndProbe(l *leafState, sc *scratch) error {
 	}
 	prb.Seal()
 	l.prb = prb
-	l.didSplit = true
+	e.attachChildren(l, histL, histR)
+	return nil
+}
 
+// probeScan is the W scan over records [lo,hi) of leaf l's winning list: it
+// sets each record's probe bit in prb and counts the children's classes into
+// histL and histR. RecPar runs it per chunk; chunk tids are disjoint, so the
+// probe's word atomics compose.
+func (e *engine) probeScan(l *leafState, prb probe.Leaf, lo, hi int64, histL, histR []int64, sc *scratch) error {
+	win := l.win
+	sr := l.segs[win.Attr]
+	// Write-combine the probe bits when the design allows it: one atomic Or
+	// plus one atomic AndNot per 64 tids instead of one RMW per record.
+	batched := sc.wb != nil && sc.wb.Begin(prb)
+	err := e.scan(sc, win.Attr, sr.slot, sr.off+lo, int(hi-lo), func(recs []alist.Record) error {
+		if batched {
+			for i := range recs {
+				left := win.GoesLeft(recs[i].Value)
+				sc.wb.Set(recs[i].Tid, left)
+				if left {
+					histL[recs[i].Class]++
+				} else {
+					histR[recs[i].Class]++
+				}
+			}
+			return nil
+		}
+		for i := range recs {
+			left := win.GoesLeft(recs[i].Value)
+			prb.Set(recs[i].Tid, left)
+			if left {
+				histL[recs[i].Class]++
+			} else {
+				histR[recs[i].Class]++
+			}
+		}
+		return nil
+	})
+	if batched {
+		sc.wb.Flush()
+	}
+	return err
+}
+
+// attachChildren hangs leaf l's two children, built from their class
+// histograms, under its node with the winning split l.win, running the
+// purity pre-test on each. A HIST child's row range is its side of the
+// leaf's range.
+func (e *engine) attachChildren(l *leafState, histL, histR []int64) {
 	childLevel := l.node.Level + 1
-	mk := func(hist []int64, n int64) *childInfo {
+	mk := func(hist []int64, n int64, rowLo int) *childInfo {
 		node := &tree.Node{
 			Level:       childLevel,
 			N:           n,
@@ -549,28 +531,39 @@ func (e *engine) winnerAndProbe(l *leafState, sc *scratch) error {
 			n:        n,
 			hist:     hist,
 			terminal: e.terminal(childLevel, n, hist),
+			rowLo:    rowLo,
 		}
 	}
-	l.children[0] = mk(histL, best.NLeft)
-	l.children[1] = mk(histR, best.NRight)
-	winCopy := best
+	l.children[0] = mk(histL, l.win.NLeft, l.rowLo)
+	l.children[1] = mk(histR, l.win.NRight, l.rowLo+int(l.win.NLeft))
+	winCopy := l.win
 	l.node.Split = &winCopy
 	l.node.Left = l.children[0].node
 	l.node.Right = l.children[1].node
-	return nil
+	l.didSplit = true
 }
 
-// registerChild reserves the child's attribute-list regions in the given
-// slot. Terminal children are never registered: their records are dropped
+// registerChildren reserves the attribute-list regions of split leaf l's
+// valid children, each in the slot place returns for its side (0 left, 1
+// right). Terminal children are never registered: their records are dropped
 // during the split, the paper's purity pre-test payoff.
-func (e *engine) registerChild(c *childInfo, slot int) error {
-	c.segs = make([]segRef, e.nattr)
-	for a := 0; a < e.nattr; a++ {
-		off, err := e.store.Reserve(a, slot, int(c.n))
-		if err != nil {
-			return err
+func (e *engine) registerChildren(l *leafState, place func(side int) int) error {
+	if !l.didSplit {
+		return nil
+	}
+	for side, c := range l.children {
+		if c.terminal {
+			continue
 		}
-		c.segs[a] = segRef{slot: slot, off: off}
+		slot := place(side)
+		c.segs = make([]segRef, e.nattr)
+		for a := 0; a < e.nattr; a++ {
+			off, err := e.store.Reserve(a, slot, int(c.n))
+			if err != nil {
+				return err
+			}
+			c.segs[a] = segRef{slot: slot, off: off}
+		}
 	}
 	return nil
 }
@@ -623,6 +616,7 @@ func childLeafState(c *childInfo, parentIdx int, nattr int) *leafState {
 		hist:      c.hist,
 		segs:      c.segs,
 		cands:     make([]split.Candidate, nattr),
+		rowLo:     c.rowLo,
 	}
 }
 
@@ -634,6 +628,32 @@ func releaseLeaf(l *leafState) {
 	}
 	l.segs = nil
 	l.cands = nil
+}
+
+// levelEnd closes a level for the master: it builds the next frontier in
+// leaf order, left child before right, releases the level's leaves and
+// empties the given slots for reuse by the level after next (the paper's
+// fixed-file reuse). Once the build has failed it returns no frontier, so
+// every worker stops at the level boundary.
+func (e *engine) levelEnd(frontier []*leafState, slots ...int) []*leafState {
+	var next []*leafState
+	for li, l := range frontier {
+		if !e.ferr.Failed() && l.didSplit {
+			for _, c := range l.children {
+				if !c.terminal {
+					next = append(next, childLeafState(c, li, e.nattr))
+				}
+			}
+		}
+		releaseLeaf(l)
+	}
+	if err := e.resetSlots(slots...); err != nil {
+		e.ferr.Set(err)
+	}
+	if e.ferr.Failed() {
+		return nil
+	}
+	return next
 }
 
 // resetSlots empties the given slots across all attributes, making them

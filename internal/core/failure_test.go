@@ -62,13 +62,13 @@ func (f *failingStore) Reset(attr, slot int) error {
 // with the injected error (or, for generous budgets, succeed).
 func TestInjectedStorageFailures(t *testing.T) {
 	tbl := synthTable(t, 7, 9, 300, 21)
-	for _, alg := range []Algorithm{Serial, Basic, FWK, MWK, Subtree, RecPar} {
+	for _, s := range listSchemes() {
 		for _, budget := range []int64{0, 1, 5, 17, 60, 201, 1000} {
-			name := fmt.Sprintf("%v/budget%d", alg, budget)
+			name := fmt.Sprintf("%v/budget%d", s, budget)
 			t.Run(name, func(t *testing.T) {
 				st := &failingStore{MemStore: alist.NewMemStore(9, 64)}
 				st.budget.Store(budget)
-				cfg := Config{Algorithm: alg, Procs: 3, MaxDepth: 6}
+				cfg := Config{Algorithm: s.alg, SubtreeInner: s.inner, Procs: 3, MaxDepth: 6}
 				cfg.storeOverride = st
 
 				done := make(chan error, 1)

@@ -1,183 +1,91 @@
 package core
 
 import (
-	"sync"
 	"time"
 
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
-// runFWK implements the Fixed-Window-K scheme (paper Fig. 4). Leaves of a
-// level are processed in blocks of K. Within a block, processors grab
-// (leaf, attribute) E units dynamically, leaf by leaf; the last processor to
-// finish a leaf's evaluation immediately builds that leaf's probe (W),
-// overlapping W_i with E_{i+1..K} — the task pipelining that removes BASIC's
-// serial W bottleneck. One barrier per block separates evaluation from the
-// block's split phase. Children are assigned to the 2K per-attribute file
-// slots with the purity pre-test and hole-free relabeling of §3.2.2.
-func (e *engine) runFWK(root *leafState) error {
-	frontier := e.rootFrontier(root)
-	if len(frontier) == 0 {
-		return nil
-	}
-	P := e.cfg.Procs
-	K := e.cfg.WindowK
-	bar := sched.NewBarrier(P)
-	var ferr sched.ErrOnce
+// levelFWK runs one level of group g with the Fixed-Window-K policy (paper
+// Fig. 4). Leaves are processed in blocks of K. Within a block, processors
+// grab (leaf, attribute) E units dynamically, leaf by leaf; the last
+// processor to finish a leaf's evaluation immediately builds that leaf's
+// probe (W), overlapping W_i with E_{i+1..K} — the task pipelining that
+// removes BASIC's serial W bottleneck. One barrier per block separates
+// evaluation from the block's split phase. Children are assigned to the 2K
+// per-attribute file slots with the purity pre-test and hole-free
+// relabeling of §3.2.2 (the group's window placement). It reports false
+// when the group barrier was broken by an abort.
+func (e *engine) levelFWK(g *group, ln *trace.Lane, sc *scratch) bool {
+	// Snapshot the level: the master re-arms g once the last block's
+	// barrier has passed, and the block loop must not observe that write.
+	frontier, lvl, K := g.frontier, g.level, e.cfg.WindowK
+	for lo := 0; lo < len(frontier); lo += K {
+		blk := frontier[lo:min(lo+K, len(frontier))]
 
-	var next []*leafState
-	var done bool
-	level := 0
+		// E phase with pipelined W: walk the block's leaves in order.
+		for _, l := range blk {
+			e.leafEval(g, l, ln, lvl, sc)
+		}
+		// End-of-block synchronization (one barrier per K-block).
+		if !g.bar.TimedWait(ln, lvl) {
+			return false
+		}
 
-	worker := func(id int) {
-		ln := e.rec.Lane(id)
-		sc := e.newScratch()
-		for {
-			// Snapshot the frontier once per level: the master reassigns
-			// the shared variable at level end, and the block-loop
-			// condition must not observe that write mid-level.
-			cur := frontier
-			lvl := level
-			nextBase := e.pairBase(lvl + 1)
-			for blkStart := 0; blkStart < len(cur); blkStart += K {
-				blk := cur[blkStart:min(blkStart+K, len(cur))]
-
-				// E phase with pipelined W: walk the block's leaves in
-				// order, grabbing attributes dynamically within each leaf.
-				for _, l := range blk {
-					for !ferr.Failed() {
-						a := l.eNext.Add(1) - 1
-						if a >= int64(e.nattr) {
-							break
-						}
-						t0 := time.Now()
-						if err := e.evalLeafAttr(l, int(a), sc); err != nil {
-							ferr.Set(err)
-							break
-						}
-						ln.Add(lvl, trace.PhaseEval, time.Since(t0))
-						if l.eDone.Add(1) == int64(e.nattr) {
-							// Last processor finishing on this leaf: do W
-							// now, while others evaluate later leaves.
-							tw := time.Now()
-							if err := e.leafWinnerRegister(l, nextBase, sc); err != nil {
-								ferr.Set(err)
-							}
-							ln.Add(lvl, trace.PhaseWinner, time.Since(tw))
-						}
-					}
-				}
-				// End-of-block synchronization (one barrier per K-block).
-				if !bar.TimedWait(ln, lvl) {
-					return // build aborted by a dead worker's teardown
-				}
-
-				// S phase for the whole block, (leaf, attribute) units.
-				for _, l := range blk {
-					for !ferr.Failed() {
-						a := l.sNext.Add(1) - 1
-						if a >= int64(e.nattr) {
-							break
-						}
-						t0 := time.Now()
-						if err := e.splitLeafAttr(l, int(a), sc); err != nil {
-							ferr.Set(err)
-						}
-						ln.Add(lvl, trace.PhaseSplit, time.Since(t0))
-						if l.sDone.Add(1) == int64(e.nattr) {
-							releaseLeaf(l)
-						}
-					}
-				}
-				if !bar.TimedWait(ln, lvl) {
-					return // build aborted by a dead worker's teardown
-				}
-			}
-
-			// Level bookkeeping by the master; slot recycling is accounted
-			// as S-phase cleanup.
-			if id == 0 {
-				t0 := time.Now()
-				next = e.windowLevelEnd(frontier, lvl, &ferr)
-				frontier = next
-				level++
-				e.nextChild.Store(0)
-				done = len(frontier) == 0
-				ln.AddN(lvl, trace.PhaseSplit, time.Since(t0), 0)
-			}
-			if !bar.TimedWait(ln, lvl) {
-				return
-			}
-			if done {
-				return
-			}
+		// S phase for the whole block, (leaf, attribute) units.
+		for _, l := range blk {
+			e.leafSplit(l, ln, lvl, sc)
+		}
+		if !g.bar.TimedWait(ln, lvl) {
+			return false
 		}
 	}
-
-	var wg sync.WaitGroup
-	for id := 0; id < P; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			// A panicking worker can never rejoin the barrier protocol;
-			// breaking the barrier releases every surviving peer.
-			sched.Guard(&ferr, bar.Abort, id, func() { worker(id) })
-		}(id)
-	}
-	wg.Wait()
-	return ferr.Get()
+	return true
 }
 
-// leafWinnerRegister performs the W step for one leaf and assigns its valid
-// (non-pure) children to window file slots. Valid children across the level
-// are numbered consecutively by an atomic counter and placed round-robin in
-// the K next-level slots — the relabeling scheme that leaves no holes in the
-// K-block schedule.
-func (e *engine) leafWinnerRegister(l *leafState, nextBase int, sc *scratch) error {
-	if err := e.winnerAndProbe(l, sc); err != nil {
-		return err
-	}
-	if !l.didSplit {
-		return nil
-	}
-	for _, c := range l.children {
-		if c.terminal {
-			continue
+// leafEval runs leaf l's remaining E units, grabbed dynamically — the
+// windowed schemes' (leaf, attribute) units. The processor that finishes
+// the last unit performs the leaf's W at once, while its peers evaluate
+// later leaves, and reports true.
+func (e *engine) leafEval(g *group, l *leafState, ln *trace.Lane, lvl int, sc *scratch) bool {
+	for !e.ferr.Failed() {
+		a := l.eNext.Add(1) - 1
+		if a >= int64(e.nattr) {
+			return false
 		}
-		idx := e.nextChild.Add(1) - 1
-		slot := nextBase + int(idx%int64(e.cfg.WindowK))
-		if err := e.registerChild(c, slot); err != nil {
-			return err
+		t0 := time.Now()
+		if err := e.evalLeafAttr(l, int(a), sc); err != nil {
+			e.ferr.Set(err)
+			return false
+		}
+		ln.Add(lvl, trace.PhaseEval, time.Since(t0))
+		if l.eDone.Add(1) == int64(e.nattr) {
+			tw := time.Now()
+			if err := e.leafW(g, l, sc); err != nil {
+				e.ferr.Set(err)
+			}
+			ln.Add(lvl, trace.PhaseWinner, time.Since(tw))
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
-// windowLevelEnd builds the next frontier in leaf order and recycles the
-// level's file slots; shared by FWK and MWK.
-func (e *engine) windowLevelEnd(frontier []*leafState, level int, ferr *sched.ErrOnce) []*leafState {
-	var next []*leafState
-	for li, l := range frontier {
-		if !ferr.Failed() && l.didSplit {
-			for _, c := range l.children {
-				if !c.terminal {
-					next = append(next, childLeafState(c, li, e.nattr))
-				}
-			}
+// leafSplit runs leaf l's remaining S units, grabbed dynamically; the
+// processor that finishes the last unit releases the leaf.
+func (e *engine) leafSplit(l *leafState, ln *trace.Lane, lvl int, sc *scratch) {
+	for !e.ferr.Failed() {
+		a := l.sNext.Add(1) - 1
+		if a >= int64(e.nattr) {
+			return
 		}
-		releaseLeaf(l)
+		t0 := time.Now()
+		if err := e.splitLeafAttr(l, int(a), sc); err != nil {
+			e.ferr.Set(err)
+		}
+		ln.Add(lvl, trace.PhaseSplit, time.Since(t0))
+		if l.sDone.Add(1) == int64(e.nattr) {
+			releaseLeaf(l)
+		}
 	}
-	curBase := e.pairBase(level)
-	slots := make([]int, e.cfg.WindowK)
-	for i := range slots {
-		slots[i] = curBase + i
-	}
-	if err := e.resetSlots(slots...); err != nil {
-		ferr.Set(err)
-	}
-	if ferr.Failed() {
-		return nil
-	}
-	return next
 }

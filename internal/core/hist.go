@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -87,7 +86,7 @@ func (e *engine) setupHist() *leafState {
 func (e *engine) runHist(root *leafState) error {
 	P := e.cfg.Procs
 	bar := sched.NewBarrier(P)
-	var ferr sched.ErrOnce
+	ferr := &e.ferr
 
 	m := hist.NewMatrix(e.schema, e.tbl.ClassColumn())
 	idx := make([]uint32, e.ntuples)
@@ -275,7 +274,7 @@ func (e *engine) runHist(root *leafState) error {
 						if l.didSplit {
 							for _, c := range l.children {
 								if !c.terminal {
-									next = append(next, histChildLeafState(c, blk*blockCap+li, e.nattr))
+									next = append(next, childLeafState(c, blk*blockCap+li, e.nattr))
 								}
 							}
 						}
@@ -346,18 +345,9 @@ func (e *engine) runHist(root *leafState) error {
 		}
 	}
 
-	var wg sync.WaitGroup
-	for id := 0; id < P; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			// A panicking worker can never rejoin the barrier protocol;
-			// breaking the barrier releases every surviving peer.
-			sched.Guard(&ferr, bar.Abort, id, func() { worker(id) })
-		}(id)
-	}
-	wg.Wait()
-	return ferr.Get()
+	// A panicking worker can never rejoin the barrier protocol; breaking the
+	// barrier releases every surviving peer.
+	return sched.Spawn(P, ferr, bar.Abort, worker)
 }
 
 // histBestSplit searches attribute a's merged histogram for leaf l's best
@@ -389,21 +379,10 @@ func (e *engine) histWinner(m *hist.Matrix, l *leafState, arena []int64) error {
 	if err := e.cancelled(); err != nil {
 		return err
 	}
-	best := split.Candidate{}
-	for _, c := range l.cands {
-		if c.Better(best) {
-			best = c
-		}
-	}
-	l.win = best
-	if !best.Valid {
+	if !e.vote(l) {
 		return nil // leaf stays a leaf (no usable split)
 	}
-	if e.cfg.MinGiniGain > 0 &&
-		split.Gini(l.hist, l.n)-best.Gini < e.cfg.MinGiniGain {
-		l.win.Valid = false
-		return nil
-	}
+	best := l.win
 	leftBin := m.LeftBins(best)
 	counts := m.Cell(arena, best.Attr)
 	histL := make([]int64, e.nclass)
@@ -428,37 +407,6 @@ func (e *engine) histWinner(m *hist.Matrix, l *leafState, arena []int64) error {
 			best.Attr, nl, nr, best.NLeft, best.NRight)
 	}
 	l.histLeft = leftBin
-	l.didSplit = true
-
-	childLevel := l.node.Level + 1
-	mk := func(h []int64, n int64, rowLo int) *childInfo {
-		node := &tree.Node{
-			Level:       childLevel,
-			N:           n,
-			ClassCounts: h,
-			Class:       tree.MajorityClass(h),
-		}
-		return &childInfo{
-			node:     node,
-			n:        n,
-			hist:     h,
-			terminal: e.terminal(childLevel, n, h),
-			rowLo:    rowLo,
-		}
-	}
-	l.children[0] = mk(histL, best.NLeft, l.rowLo)
-	l.children[1] = mk(histR, best.NRight, l.rowLo+int(best.NLeft))
-	winCopy := best
-	l.node.Split = &winCopy
-	l.node.Left = l.children[0].node
-	l.node.Right = l.children[1].node
+	e.attachChildren(l, histL, histR)
 	return nil
-}
-
-// histChildLeafState wraps a non-terminal HIST child as a frontier leaf,
-// carrying the child's slice of the row-index permutation.
-func histChildLeafState(c *childInfo, parentIdx, nattr int) *leafState {
-	l := childLeafState(c, parentIdx, nattr)
-	l.rowLo = c.rowLo
-	return l
 }

@@ -1,165 +1,65 @@
 package core
 
 import (
-	"sync"
 	"time"
 
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
-// runMWK implements the Moving-Window-K scheme (paper Fig. 6). It removes
-// FWK's per-block barrier: before working on leaf i, a processor waits on a
-// per-leaf condition (here: a closed channel, Go's condition-variable
-// idiom) until leaf i−K has been completed, so at most K leaves are in
-// flight; the last processor to finish a leaf's evaluation builds its probe
-// and signals the leaf done. This exposes the extra pipeline parallelism
-// between adjacent blocks ({R1,L2} in the paper's example) at the price of
-// one lock synchronization per leaf per level.
-func (e *engine) runMWK(root *leafState) error {
-	frontier := e.rootFrontier(root)
-	if len(frontier) == 0 {
-		return nil
-	}
-	P := e.cfg.Procs
-	K := e.cfg.WindowK
-	bar := sched.NewBarrier(P)
-	var ferr sched.ErrOnce
-
-	// abort unblocks all condition waits when a worker hits an error.
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	fail := func(err error) {
-		ferr.Set(err)
-		abortOnce.Do(func() { close(abort) })
-	}
-	// waitSig blocks on a leaf-done condition; the stall is recorded as
-	// window-idle time in the caller's lane.
-	waitSig := func(ch chan struct{}, ln *trace.Lane, lvl int) {
-		t0 := time.Now()
+// levelMWK runs one level of group g with the Moving-Window-K policy (paper
+// Fig. 6). It removes FWK's per-block barrier: before working on leaf i, a
+// processor waits on a per-leaf condition (here: a closed channel, Go's
+// condition-variable idiom) until leaf i−K has been completed, so at most K
+// leaves are in flight; the last processor to finish a leaf's evaluation
+// builds its probe and signals the leaf done. This exposes the extra
+// pipeline parallelism between adjacent blocks ({R1,L2} in the paper's
+// example) at the price of one lock synchronization per leaf per level.
+// SUBTREE groups run the same level as the §3.4 hybrid ("we can also use
+// FWK or MWK as the subroutine"), their children going to the group's write
+// pair. It reports false when the group barrier was broken by an abort.
+func (e *engine) levelMWK(g *group, ln *trace.Lane, sc *scratch) bool {
+	lvl, K := g.level, e.cfg.WindowK
+	for i, l := range g.frontier {
+		// Moving-window throttle: leaf i waits for leaf i−K.
+		if i >= K {
+			e.waitLeaf(g.doneCh[i-K], ln, lvl)
+		}
+		// E units of leaf i; the processor that performs W_i signals that
+		// the i-th leaf is done.
+		if e.leafEval(g, l, ln, lvl, sc) {
+			close(g.doneCh[i])
+		}
+		// S units of leaf i require W_i; take them now only if the leaf is
+		// already signalled — otherwise keep moving so W_i overlaps
+		// E_{i+1..i+K} (the pipelining MWK exists for) and finish them in
+		// the completion sweep below.
 		select {
-		case <-ch:
-		case <-abort:
-		}
-		ln.Add(lvl, trace.PhaseIdle, time.Since(t0))
-	}
-
-	var next []*leafState
-	var doneCh []chan struct{}
-	var done bool
-	level := 0
-	doneCh = makeSignals(len(frontier))
-
-	// splitGrab executes leaf l's remaining S units dynamically.
-	splitGrab := func(l *leafState, ln *trace.Lane, lvl int, sc *scratch) {
-		for !ferr.Failed() {
-			a := l.sNext.Add(1) - 1
-			if a >= int64(e.nattr) {
-				return
-			}
-			t0 := time.Now()
-			if err := e.splitLeafAttr(l, int(a), sc); err != nil {
-				fail(err)
-			}
-			ln.Add(lvl, trace.PhaseSplit, time.Since(t0))
-			if l.sDone.Add(1) == int64(e.nattr) {
-				releaseLeaf(l)
-			}
+		case <-g.doneCh[i]:
+			e.leafSplit(l, ln, lvl, sc)
+		default:
 		}
 	}
-
-	worker := func(id int) {
-		ln := e.rec.Lane(id)
-		sc := e.newScratch()
-		for {
-			lvl := level
-			nextBase := e.pairBase(lvl + 1)
-			for i, l := range frontier {
-				// Moving-window throttle: leaf i waits for leaf i−K.
-				if i >= K {
-					waitSig(doneCh[i-K], ln, lvl)
-				}
-				// E units of leaf i, grabbed dynamically.
-				for !ferr.Failed() {
-					a := l.eNext.Add(1) - 1
-					if a >= int64(e.nattr) {
-						break
-					}
-					t0 := time.Now()
-					if err := e.evalLeafAttr(l, int(a), sc); err != nil {
-						fail(err)
-						break
-					}
-					ln.Add(lvl, trace.PhaseEval, time.Since(t0))
-					if l.eDone.Add(1) == int64(e.nattr) {
-						// Last processor finishing leaf i: W, then signal
-						// that the i-th leaf is done.
-						tw := time.Now()
-						if err := e.leafWinnerRegister(l, nextBase, sc); err != nil {
-							fail(err)
-						}
-						ln.Add(lvl, trace.PhaseWinner, time.Since(tw))
-						close(doneCh[i])
-					}
-				}
-				// S units of leaf i require W_i; take them now only if the
-				// leaf is already signalled — otherwise keep moving so W_i
-				// overlaps E_{i+1..i+K} (the pipelining MWK exists for)
-				// and finish them in the completion sweep below.
-				select {
-				case <-doneCh[i]:
-					splitGrab(l, ln, lvl, sc)
-				default:
-				}
-			}
-			// Completion sweep: every leaf's W has been signalled by now
-			// (all E units above have run), so the deferred S units can
-			// be grabbed to exhaustion.
-			for i, l := range frontier {
-				waitSig(doneCh[i], ln, lvl)
-				splitGrab(l, ln, lvl, sc)
-			}
-			if !bar.TimedWait(ln, lvl) {
-				return // build aborted by a dead worker's teardown
-			}
-
-			if id == 0 {
-				t0 := time.Now()
-				next = e.windowLevelEnd(frontier, lvl, &ferr)
-				frontier = next
-				level++
-				e.nextChild.Store(0)
-				doneCh = makeSignals(len(frontier))
-				done = len(frontier) == 0
-				ln.AddN(lvl, trace.PhaseSplit, time.Since(t0), 0)
-			}
-			if !bar.TimedWait(ln, lvl) {
-				return // build aborted by a dead worker's teardown
-			}
-			if done {
-				return
-			}
-		}
+	// Completion sweep: every leaf's W has been signalled by now (all E
+	// units above have run), so the deferred S units can be grabbed to
+	// exhaustion.
+	for i, l := range g.frontier {
+		e.waitLeaf(g.doneCh[i], ln, lvl)
+		e.leafSplit(l, ln, lvl, sc)
 	}
+	return g.bar.TimedWait(ln, lvl)
+}
 
-	// A panicking worker can neither close its pending leaf signals nor
-	// rejoin the barrier; releasing both structures lets the survivors
-	// observe ferr and unwind. Ordinary errors (fail above) keep the
-	// protocol alive instead, so the level ends through the normal path.
-	teardown := func() {
-		abortOnce.Do(func() { close(abort) })
-		bar.Abort()
+// waitLeaf blocks on a leaf-done condition until it is signalled or the
+// build fails — the signalling processor may itself have bailed out on the
+// error, or died. The stall is recorded as window-idle time in the caller's
+// lane.
+func (e *engine) waitLeaf(ch chan struct{}, ln *trace.Lane, lvl int) {
+	t0 := time.Now()
+	select {
+	case <-ch:
+	case <-e.ferr.Done():
 	}
-	var wg sync.WaitGroup
-	for id := 0; id < P; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			sched.Guard(&ferr, teardown, id, func() { worker(id) })
-		}(id)
-	}
-	wg.Wait()
-	return ferr.Get()
+	ln.Add(lvl, trace.PhaseIdle, time.Since(t0))
 }
 
 func makeSignals(n int) []chan struct{} {

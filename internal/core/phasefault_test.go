@@ -15,11 +15,11 @@ import (
 // for every scheme, on real disk storage with retrying disabled, and checks
 // the three teardown guarantees: the injected error comes back, no goroutine
 // outlives the build, and the temp directory is removed. The rules target
-// phases through operation counts that hold across all six schemes:
+// phases through operation counts that hold across all the schemes:
 //
 //   - E is the first scan of the build (setup never scans).
 //   - W is the first Reserve after setup's exactly-nattr reserves
-//     (registerChild reserving child regions).
+//     (registerChildren reserving child regions).
 //   - S is the first WriteAt after setup's exactly-nattr writes (a split
 //     appender flush; the W scan only reads and sets probe bits).
 func TestPhaseFaults(t *testing.T) {
@@ -35,14 +35,14 @@ func TestPhaseFaults(t *testing.T) {
 		{"S", faultstore.Match(faultstore.OpWrite, nattr, 0, faultstore.Fail)},
 	}
 
-	for _, alg := range []Algorithm{Serial, Basic, FWK, MWK, Subtree, RecPar} {
+	for _, s := range listSchemes() {
 		for _, ph := range phases {
-			t.Run(fmt.Sprintf("%v/%s", alg, ph.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%v/%s", s, ph.name), func(t *testing.T) {
 				tmp := t.TempDir()
 				t.Setenv("TMPDIR", tmp)
 
 				cfg := Config{
-					Algorithm: alg, Procs: 3, MaxDepth: 4,
+					Algorithm: s.alg, SubtreeInner: s.inner, Procs: 3, MaxDepth: 4,
 					Storage: Disk,
 					Retry:   alist.RetryPolicy{MaxAttempts: 1},
 				}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/alist"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/split"
 	"repro/internal/trace"
-	"repro/internal/tree"
 )
 
 // runRecPar implements record data parallelism — the scheme used by
@@ -42,7 +40,7 @@ func (e *engine) runRecPar(root *leafState) error {
 	}
 	P := e.cfg.Procs
 	bar := sched.NewBarrier(P)
-	var ferr sched.ErrOnce
+	ferr := &e.ferr
 
 	// Per-worker scratch slots; slot w is written only by worker w between
 	// barriers and read by others only after the next barrier.
@@ -63,8 +61,6 @@ func (e *engine) runRecPar(root *leafState) error {
 	cats := make([]*split.CatEval, P)   // categorical chunk matrices (scratch-owned)
 	lefts := make([]int64, P)           // S pass-1 chunk left counts
 
-	var next []*leafState
-	var done bool
 	level := 0
 
 	// chunk returns worker w's record range within a leaf of n records.
@@ -196,19 +192,8 @@ func (e *engine) runRecPar(root *leafState) error {
 				// ---- W phase: chunk-parallel probe construction ----
 				if id == 0 && !ferr.Failed() {
 					t0 := time.Now()
-					best := split.Candidate{}
-					for _, c := range l.cands {
-						if c.Better(best) {
-							best = c
-						}
-					}
-					l.win = best
-					if best.Valid && e.cfg.MinGiniGain > 0 &&
-						split.Gini(l.hist, l.n)-best.Gini < e.cfg.MinGiniGain {
-						l.win.Valid = false
-					}
-					if l.win.Valid {
-						l.prb = e.probes.ForLeaf(best.NLeft, best.NRight)
+					if e.vote(l) {
+						l.prb = e.probes.ForLeaf(l.win.NLeft, l.win.NRight)
 					}
 					ln.AddN(lvl, trace.PhaseWinner, time.Since(t0), 0)
 				}
@@ -217,45 +202,13 @@ func (e *engine) runRecPar(root *leafState) error {
 				}
 				if l.win.Valid && !ferr.Failed() {
 					t0 := time.Now()
-					best := l.win
-					hl, hr := histL[id], histR[id]
-					for j := 0; j < e.nclass; j++ {
-						hl[j], hr[j] = 0, 0
-					}
-					sr := l.segs[best.Attr]
 					// Each worker write-combines its own chunk's probe bits;
-					// chunk tids are disjoint, so word atomics compose. The
-					// Flush below happens before the barrier that precedes
-					// the master's Seal.
-					batched := sc.wb != nil && sc.wb.Begin(l.prb)
-					if err := e.scan(sc, best.Attr, sr.slot, sr.off+lo, int(hi-lo), func(recs []alist.Record) error {
-						if batched {
-							for i := range recs {
-								left := best.GoesLeft(recs[i].Value)
-								sc.wb.Set(recs[i].Tid, left)
-								if left {
-									hl[recs[i].Class]++
-								} else {
-									hr[recs[i].Class]++
-								}
-							}
-							return nil
-						}
-						for i := range recs {
-							left := best.GoesLeft(recs[i].Value)
-							l.prb.Set(recs[i].Tid, left)
-							if left {
-								hl[recs[i].Class]++
-							} else {
-								hr[recs[i].Class]++
-							}
-						}
-						return nil
-					}); err != nil {
+					// the scan's flush happens before the barrier that
+					// precedes the master's Seal.
+					hl := zeroInt64(histL[id], e.nclass)
+					hr := zeroInt64(histR[id], e.nclass)
+					if err := e.probeScan(l, l.prb, lo, hi, hl, hr, sc); err != nil {
 						ferr.Set(err)
-					}
-					if batched {
-						sc.wb.Flush()
 					}
 					ln.AddN(lvl, trace.PhaseWinner, time.Since(t0), 0)
 				}
@@ -325,55 +278,24 @@ func (e *engine) runRecPar(root *leafState) error {
 
 			if id == 0 {
 				t0 := time.Now()
-				next = nil
-				for li, l := range frontier {
-					if !ferr.Failed() && l.didSplit {
-						for _, c := range l.children {
-							if !c.terminal {
-								next = append(next, childLeafState(c, li, e.nattr))
-							}
-						}
-					}
-					releaseLeaf(l)
-				}
-				curBase := e.pairBase(level)
-				if err := e.resetSlots(curBase, curBase+1); err != nil {
-					ferr.Set(err)
-				}
-				if ferr.Failed() {
-					next = nil
-				}
-				frontier = next
+				frontier = e.levelEnd(frontier, e.levelSlots(level)...)
 				level++
-				done = len(frontier) == 0
 				ln.AddN(lvl, trace.PhaseSplit, time.Since(t0), 0)
 			}
-			if !bar.TimedWait(ln, lvl) {
-				return // build aborted by a dead worker's teardown
-			}
-			if done {
-				return
+			if !bar.TimedWait(ln, lvl) || len(frontier) == 0 {
+				return // build aborted by a dead worker's teardown, or done
 			}
 		}
 	}
 
-	var wg sync.WaitGroup
-	for id := 0; id < P; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			// A panicking worker can never rejoin the barrier protocol;
-			// breaking the barrier releases every surviving peer.
-			sched.Guard(&ferr, bar.Abort, id, func() { worker(id) })
-		}(id)
-	}
-	wg.Wait()
-	return ferr.Get()
+	// A panicking worker can never rejoin the barrier protocol; breaking the
+	// barrier releases every surviving peer.
+	return sched.Spawn(P, ferr, bar.Abort, worker)
 }
 
 // finishRecParW merges the chunk histograms, seals the probe, attaches
-// child nodes with the purity pre-test, and registers storage — the serial
-// tail of the record-parallel W phase.
+// child nodes with the purity pre-test, and registers storage in the next
+// level's slot pair — the serial tail of the record-parallel W phase.
 func (e *engine) finishRecParW(l *leafState, histL, histR [][]int64, level int) error {
 	hl := make([]int64, e.nclass)
 	hr := make([]int64, e.nclass)
@@ -384,36 +306,9 @@ func (e *engine) finishRecParW(l *leafState, histL, histR [][]int64, level int) 
 		}
 	}
 	l.prb.Seal()
-	best := l.win
-	childLevel := l.node.Level + 1
-	mk := func(hist []int64, n int64) *childInfo {
-		node := &tree.Node{
-			Level:       childLevel,
-			N:           n,
-			ClassCounts: hist,
-			Class:       tree.MajorityClass(hist),
-		}
-		return &childInfo{node: node, n: n, hist: hist,
-			terminal: e.terminal(childLevel, n, hist)}
-	}
-	l.children[0] = mk(hl, best.NLeft)
-	l.children[1] = mk(hr, best.NRight)
-	winCopy := best
-	l.node.Split = &winCopy
-	l.node.Left = l.children[0].node
-	l.node.Right = l.children[1].node
-	l.didSplit = true
-
+	e.attachChildren(l, hl, hr)
 	nextBase := e.pairBase(level + 1)
-	for side, c := range l.children {
-		if c.terminal {
-			continue
-		}
-		if err := e.registerChild(c, nextBase+side); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.registerChildren(l, func(side int) int { return nextBase + side })
 }
 
 // splitChunk writes one chunk's records into the children's reserved

@@ -66,17 +66,10 @@ func (e *engine) runSerial(root *leafState) error {
 		// right children the other (the paper's 4-file scheme).
 		tw := time.Now()
 		nextBase := e.pairBase(level + 1)
+		pair := func(side int) int { return nextBase + side }
 		for _, l := range frontier {
-			if !l.didSplit {
-				continue
-			}
-			for side, c := range l.children {
-				if c.terminal {
-					continue
-				}
-				if err := e.registerChild(c, nextBase+side); err != nil {
-					return err
-				}
+			if err := e.registerChildren(l, pair); err != nil {
+				return err
 			}
 		}
 		ln.AddN(level, trace.PhaseWinner, time.Since(tw), 0)
@@ -95,25 +88,15 @@ func (e *engine) runSerial(root *leafState) error {
 			}
 		}
 
-		// Build the next frontier in leaf order, left before right, and
-		// release this level's resources.
-		var next []*leafState
-		for li, l := range frontier {
-			if l.didSplit {
-				for _, c := range l.children {
-					if !c.terminal {
-						next = append(next, childLeafState(c, li, e.nattr))
-						if lt != nil {
-							lt.Leaves[li].NValidChildren++
-						}
-					}
-				}
-			}
-			releaseLeaf(l)
-		}
-		curBase := e.pairBase(level)
-		if err := e.resetSlots(curBase, curBase+1); err != nil {
+		// Build the next frontier and release this level's resources.
+		next := e.levelEnd(frontier, e.levelSlots(level)...)
+		if err := e.ferr.Get(); err != nil {
 			return err
+		}
+		if lt != nil {
+			for _, c := range next {
+				lt.Leaves[c.parentIdx].NValidChildren++
+			}
 		}
 		frontier = next
 		level++

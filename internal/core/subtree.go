@@ -73,55 +73,35 @@ func (sp *sharedPair) release() error {
 	return nil
 }
 
-// stGroup is a processor group working on a disjoint part of the leaf
-// frontier. workers[0] (the smallest id) is the group master.
-type stGroup struct {
-	workers   []int
-	frontier  []*leafState
-	readPair  *sharedPair // where the frontier's lists live
-	writePair [2]int      // private slots the children are written into
-	bar       *sched.Barrier
-	eCtr      atomic.Int64
-	sCtr      atomic.Int64
-	doneCh    []chan struct{} // per-leaf W-done signals (MWK subroutine)
-}
-
-// newStGroup builds a group, preparing the per-leaf signal channels when
-// the MWK subroutine is selected. The group barrier is registered with bs so
-// a teardown can break every live group at once; groups created after an
-// abort get an already-broken barrier.
-func (e *engine) newStGroup(bs *sched.BarrierSet, workers []int, frontier []*leafState,
-	readPair *sharedPair, writePair [2]int) *stGroup {
-	g := &stGroup{
-		workers: workers, frontier: frontier,
-		readPair: readPair, writePair: writePair,
-		bar: sched.NewBarrier(len(workers)),
-	}
+// newSubgroup forms a SUBTREE group that reads its frontier from readPair.
+// The group barrier is registered with bs so a teardown can break every
+// live group at once; groups formed after an abort get an already-broken
+// barrier.
+func (e *engine) newSubgroup(bs *sched.BarrierSet, workers []int, frontier []*leafState,
+	readPair *sharedPair, writePair [2]int) *group {
+	g := e.newGroup(workers, frontier, writePair)
+	g.readPair = readPair
 	bs.Add(g.bar)
-	if e.cfg.SubtreeInner == MWK {
-		g.doneCh = makeSignals(len(frontier))
-	}
 	return g
 }
 
 // runSubtree implements the SUBTREE task-parallel scheme (paper Fig. 7).
 // All processors start in one group at the root. A group processes one tree
-// level with the BASIC algorithm, then its master gathers any processors
-// that have become idle (the FREE queue), and either dies (empty frontier,
-// members go idle), continues as one group (single leaf or single
-// processor), or splits leaves and processors into two new groups working
-// on disjoint subtrees.
+// level with the BASIC algorithm (or MWK, the §3.4 hybrid), then its master
+// gathers any processors that have become idle (the FREE queue), and either
+// dies (empty frontier, members go idle), continues as one group (single
+// leaf or single processor), or splits leaves and processors into two new
+// groups working on disjoint subtrees.
 func (e *engine) runSubtree(root *leafState) error {
 	frontier := e.rootFrontier(root)
 	if len(frontier) == 0 {
 		return nil
 	}
 	P := e.cfg.Procs
-	var ferr sched.ErrOnce
 
-	chans := make([]chan *stGroup, P)
+	chans := make([]chan *group, P)
 	for i := range chans {
-		chans[i] = make(chan *stGroup, 1)
+		chans[i] = make(chan *group, 1)
 	}
 	fq := sched.NewFreeQueue(P, chans)
 	// Registry of every live group barrier, so a panicking worker's teardown
@@ -137,76 +117,50 @@ func (e *engine) runSubtree(root *leafState) error {
 	if err != nil {
 		return err
 	}
-	g0 := e.newStGroup(bs, identity(P), frontier,
+	g0 := e.newSubgroup(bs, identity(P), frontier,
 		newSharedPair(pool, [2]int{0, 1}, 1), writePair)
-
-	var wg sync.WaitGroup
-	for w := 0; w < P; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sched.Guard(&ferr, func() { bs.Abort(); fq.Abort() }, w, func() {
-				ln := e.rec.Lane(w)
-				sc := e.newScratch()
-				// Time spent blocked on the assignment channel is FREE-queue
-				// idleness, attributed to the last group's level (including
-				// the final wait for the termination signal).
-				lastLvl := 0
-				for {
-					t0 := time.Now()
-					var g *stGroup
-					select {
-					case g = <-chans[w]:
-					case <-fq.AbortCh():
-						// A dead worker can never broadcast termination;
-						// the abort channel is the only way out.
-					}
-					ln.Add(lastLvl, trace.PhaseIdle, time.Since(t0))
-					if g == nil {
-						return
-					}
-					lastLvl = g.frontier[0].node.Level
-					e.subtreeMember(g, w, ln, lastLvl, sc, pool, fq, chans, bs, &ferr)
-				}
-			})
-		}(w)
-	}
 	for _, w := range g0.workers {
 		chans[w] <- g0
 	}
-	wg.Wait()
-	return ferr.Get()
-}
 
-func identity(n int) []int {
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
+	return sched.Spawn(P, &e.ferr, func() { bs.Abort(); fq.Abort() }, func(w int) {
+		ln := e.rec.Lane(w)
+		sc := e.newScratch()
+		// Time spent blocked on the assignment channel is FREE-queue
+		// idleness, attributed to the last group's level (including the
+		// final wait for the termination signal).
+		lastLvl := 0
+		for {
+			t0 := time.Now()
+			var g *group
+			select {
+			case g = <-chans[w]:
+			case <-fq.AbortCh():
+				// A dead worker can never broadcast termination; the abort
+				// channel is the only way out.
+			}
+			ln.Add(lastLvl, trace.PhaseIdle, time.Since(t0))
+			if g == nil {
+				return
+			}
+			lastLvl = g.level
+			e.subtreeMember(g, w, ln, sc, pool, fq, chans, bs)
+		}
+	})
 }
 
 // subtreeMember executes one group level as worker w. Non-masters return to
 // their assignment channel ("go to sleep") after the level; the master
 // performs the group transition.
-func (e *engine) subtreeMember(g *stGroup, w int, ln *trace.Lane, lvl int,
-	sc *scratch, pool *slotPool, fq *sched.FreeQueue[*stGroup], chans []chan *stGroup,
-	bs *sched.BarrierSet, ferr *sched.ErrOnce) {
+func (e *engine) subtreeMember(g *group, w int, ln *trace.Lane, sc *scratch,
+	pool *slotPool, fq *sched.FreeQueue[*group], chans []chan *group, bs *sched.BarrierSet) {
 
 	isMaster := w == g.workers[0]
-
-	var ok bool
-	if e.cfg.SubtreeInner == MWK {
-		ok = e.subtreeLevelMWK(g, isMaster, ln, lvl, sc, ferr)
-	} else {
-		ok = e.subtreeLevelBasic(g, isMaster, ln, lvl, sc, ferr)
-	}
-	if !ok {
+	if !e.runLevel(g, isMaster, ln, sc) {
 		// Build aborted by a dead worker's teardown; the caller's loop
 		// exits through the queue's abort channel.
 		return
 	}
-
 	if !isMaster {
 		return // sleep until reassigned (or terminated) via the channel
 	}
@@ -214,22 +168,10 @@ func (e *engine) subtreeMember(g *stGroup, w int, ln *trace.Lane, lvl int,
 	// Master: build the new frontier, release the parent lists, and decide
 	// the group transition; this bookkeeping is accounted as S cleanup.
 	t0 := time.Now()
-	defer func() { ln.AddN(lvl, trace.PhaseSplit, time.Since(t0), 0) }()
-	var next []*leafState
-	for li, l := range g.frontier {
-		if !ferr.Failed() && l.didSplit {
-			for _, c := range l.children {
-				if !c.terminal {
-					next = append(next, childLeafState(c, li, e.nattr))
-				}
-			}
-		}
-		releaseLeaf(l)
-	}
+	defer func() { ln.AddN(g.level, trace.PhaseSplit, time.Since(t0), 0) }()
+	next := e.levelEnd(g.frontier)
 	if err := g.readPair.release(); err != nil {
-		ferr.Set(err)
-	}
-	if ferr.Failed() {
+		e.ferr.Set(err)
 		next = nil
 	}
 
@@ -237,7 +179,7 @@ func (e *engine) subtreeMember(g *stGroup, w int, ln *trace.Lane, lvl int,
 		// Subtree finished: everyone (master included) joins the FREE
 		// queue. The write pair holds nothing anyone will read.
 		if err := pool.release(g.writePair); err != nil {
-			ferr.Set(err)
+			e.ferr.Set(err)
 		}
 		fq.Put(g.workers...)
 		return
@@ -253,11 +195,11 @@ func (e *engine) subtreeMember(g *stGroup, w int, ln *trace.Lane, lvl int,
 		// the whole frontier): continue as a single group.
 		wp, err := pool.acquire()
 		if err != nil {
-			ferr.Set(err)
+			e.ferr.Set(err)
 			fq.Put(procs...)
 			return
 		}
-		ng := e.newStGroup(bs, procs, next, childRead, wp)
+		ng := e.newSubgroup(bs, procs, next, childRead, wp)
 		for _, id := range ng.workers {
 			chans[id] <- ng
 		}
@@ -272,189 +214,18 @@ func (e *engine) subtreeMember(g *stGroup, w int, ln *trace.Lane, lvl int,
 	wp1, err1 := pool.acquire()
 	wp2, err2 := pool.acquire()
 	if err1 != nil || err2 != nil {
-		ferr.Set(err1)
-		ferr.Set(err2)
+		e.ferr.Set(err1)
+		e.ferr.Set(err2)
 		fq.Put(procs...)
 		return
 	}
-	g1 := e.newStGroup(bs, p1, l1, childRead, wp1)
-	g2 := e.newStGroup(bs, p2, l2, childRead, wp2)
+	g1 := e.newSubgroup(bs, p1, l1, childRead, wp1)
+	g2 := e.newSubgroup(bs, p2, l2, childRead, wp2)
 	for _, id := range p1 {
 		chans[id] <- g1
 	}
 	for _, id := range p2 {
 		chans[id] <- g2
-	}
-}
-
-// subtreeLevelBasic runs one group level with the BASIC policy: dynamic
-// attribute units for E and S, the group master serially performing W.
-// It reports false when the group barrier was broken by an abort.
-func (e *engine) subtreeLevelBasic(g *stGroup, isMaster bool, ln *trace.Lane,
-	lvl int, sc *scratch, ferr *sched.ErrOnce) bool {
-	for !ferr.Failed() {
-		a := int(g.eCtr.Add(1) - 1)
-		if a >= e.nattr {
-			break
-		}
-		t0 := time.Now()
-		for _, l := range g.frontier {
-			if err := e.evalLeafAttr(l, a, sc); err != nil {
-				ferr.Set(err)
-				break
-			}
-		}
-		ln.AddN(lvl, trace.PhaseEval, time.Since(t0), int64(len(g.frontier)))
-	}
-	if !g.bar.TimedWait(ln, lvl) {
-		return false
-	}
-
-	if isMaster && !ferr.Failed() {
-		for _, l := range g.frontier {
-			t0 := time.Now()
-			if err := e.winnerAndProbe(l, sc); err != nil {
-				ferr.Set(err)
-				break
-			}
-			if l.didSplit {
-				for side, c := range l.children {
-					if c.terminal {
-						continue
-					}
-					if err := e.registerChild(c, g.writePair[side]); err != nil {
-						ferr.Set(err)
-						break
-					}
-				}
-			}
-			ln.Add(lvl, trace.PhaseWinner, time.Since(t0))
-		}
-	}
-	if !g.bar.TimedWait(ln, lvl) {
-		return false
-	}
-
-	for !ferr.Failed() {
-		a := int(g.sCtr.Add(1) - 1)
-		if a >= e.nattr {
-			break
-		}
-		t0 := time.Now()
-		for _, l := range g.frontier {
-			if err := e.splitLeafAttr(l, a, sc); err != nil {
-				ferr.Set(err)
-				break
-			}
-		}
-		ln.AddN(lvl, trace.PhaseSplit, time.Since(t0), int64(len(g.frontier)))
-	}
-	return g.bar.TimedWait(ln, lvl)
-}
-
-// subtreeLevelMWK runs one group level with the MWK policy — the hybrid the
-// paper notes in §3.4 ("we can also use FWK or MWK as the subroutine"):
-// per-leaf dynamic E units with the last finisher performing W (removing
-// the group master's serial W), opportunistic S, and a completion sweep.
-// Children still go to the group's private write pair, so the file scheme
-// is unchanged. It reports false when the group barrier was broken by an
-// abort.
-func (e *engine) subtreeLevelMWK(g *stGroup, isMaster bool, ln *trace.Lane,
-	lvl int, sc *scratch, ferr *sched.ErrOnce) bool {
-	K := e.cfg.WindowK
-	registerMWK := func(l *leafState) error {
-		if err := e.winnerAndProbe(l, sc); err != nil {
-			return err
-		}
-		if !l.didSplit {
-			return nil
-		}
-		for side, c := range l.children {
-			if c.terminal {
-				continue
-			}
-			if err := e.registerChild(c, g.writePair[side]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	splitGrab := func(l *leafState) {
-		for !ferr.Failed() {
-			a := l.sNext.Add(1) - 1
-			if a >= int64(e.nattr) {
-				return
-			}
-			t0 := time.Now()
-			if err := e.splitLeafAttr(l, int(a), sc); err != nil {
-				ferr.Set(err)
-			}
-			ln.Add(lvl, trace.PhaseSplit, time.Since(t0))
-			if l.sDone.Add(1) == int64(e.nattr) {
-				releaseLeaf(l)
-			}
-		}
-	}
-	waitSig := func(ch chan struct{}) {
-		t0 := time.Now()
-		e.waitSubtreeSignal(ch, ferr)
-		ln.Add(lvl, trace.PhaseIdle, time.Since(t0))
-	}
-	for i, l := range g.frontier {
-		if i >= K {
-			waitSig(g.doneCh[i-K])
-		}
-		for !ferr.Failed() {
-			a := l.eNext.Add(1) - 1
-			if a >= int64(e.nattr) {
-				break
-			}
-			t0 := time.Now()
-			if err := e.evalLeafAttr(l, int(a), sc); err != nil {
-				ferr.Set(err)
-				break
-			}
-			ln.Add(lvl, trace.PhaseEval, time.Since(t0))
-			if l.eDone.Add(1) == int64(e.nattr) {
-				tw := time.Now()
-				if err := registerMWK(l); err != nil {
-					ferr.Set(err)
-				}
-				ln.Add(lvl, trace.PhaseWinner, time.Since(tw))
-				close(g.doneCh[i])
-			}
-		}
-		select {
-		case <-g.doneCh[i]:
-			splitGrab(l)
-		default:
-		}
-	}
-	for i, l := range g.frontier {
-		waitSig(g.doneCh[i])
-		splitGrab(l)
-	}
-	return g.bar.TimedWait(ln, lvl)
-}
-
-// waitSubtreeSignal waits for a leaf-done signal, giving up after a bounded
-// poll when the build has failed (the signalling worker may itself have
-// bailed out on the error).
-func (e *engine) waitSubtreeSignal(ch chan struct{}, ferr *sched.ErrOnce) {
-	for {
-		select {
-		case <-ch:
-			return
-		default:
-		}
-		if ferr.Failed() {
-			return
-		}
-		select {
-		case <-ch:
-			return
-		case <-time.After(100 * time.Microsecond):
-		}
 	}
 }
 

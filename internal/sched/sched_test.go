@@ -88,6 +88,59 @@ func TestErrOnceLatchesFirst(t *testing.T) {
 	}
 }
 
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+func TestErrOnceDone(t *testing.T) {
+	// Done taken before the first Set, and Set before the first Done: the
+	// zero value must behave the same either way.
+	var early, late ErrOnce
+	done := early.Done()
+	early.Set(nil)
+	late.Set(nil)
+	if closed(done) || closed(late.Done()) {
+		t.Fatal("Set(nil) closed Done")
+	}
+	e1 := errors.New("first")
+	early.Set(e1)
+	late.Set(e1)
+	if !closed(done) || !closed(early.Done()) || !closed(late.Done()) {
+		t.Fatal("Done not closed by the first non-nil Set")
+	}
+	// Later Sets neither re-close (which would panic) nor replace the error.
+	early.Set(errors.New("second"))
+	if early.Get() != e1 {
+		t.Fatalf("Get() = %v, want first error", early.Get())
+	}
+}
+
+func TestErrOnceConcurrent(t *testing.T) {
+	var o ErrOnce
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			done := o.Done()
+			if i%2 == 0 {
+				o.Set(fmt.Errorf("worker %d", i))
+			}
+			o.Failed()
+			<-done // released by whichever Set latched first
+		}()
+	}
+	wg.Wait()
+	if !o.Failed() || o.Get() == nil || !closed(o.Done()) {
+		t.Fatal("no error latched after concurrent Sets")
+	}
+}
+
 func TestGuardContainsPanic(t *testing.T) {
 	var o ErrOnce
 	torn := false
@@ -168,13 +221,23 @@ func TestRunCoversAllTasks(t *testing.T) {
 }
 
 func TestRunLatchesFirstErrorAndAborts(t *testing.T) {
+	const procs = 4
 	boom := errors.New("boom")
 	var aborts atomic.Int32
 	var started atomic.Int32
-	err := Run(4, 100, func() { aborts.Add(1) }, func(w, idx int) error {
+	aborted := make(chan struct{})
+	err := Run(procs, 100, func() {
+		aborts.Add(1)
+		close(aborted)
+	}, func(w, idx int) error {
 		started.Add(1)
 		if idx == 3 {
 			return fmt.Errorf("task %d: %w", idx, boom)
+		}
+		if idx > 3 {
+			// Hold later tasks until the failure has latched, so the other
+			// workers cannot drain the queue before task 3 fails.
+			<-aborted
 		}
 		return nil
 	})
@@ -184,8 +247,9 @@ func TestRunLatchesFirstErrorAndAborts(t *testing.T) {
 	if got := aborts.Load(); got != 1 {
 		t.Fatalf("abort fired %d times, want exactly once", got)
 	}
-	if started.Load() == 100 {
-		t.Fatal("no task was skipped after the failure latched")
+	// Tasks 0..3 plus at most one in flight per worker when the latch set.
+	if got := started.Load(); got > 4+procs {
+		t.Fatalf("%d tasks started, want <= %d: tasks ran after the failure latched", got, 4+procs)
 	}
 }
 
