@@ -27,12 +27,14 @@ test:
 
 # Zero-allocation gates for the scratch-arena hot paths: the E/W/S work
 # units (internal/core/alloc_test.go), the setup pre-sort with caller
-# scratch, and the histogram engine (-count=1 so a cached pass can't mask a
+# scratch, the histogram engine, and the pooled single-row PredictValues
+# on a Model and a Forest (-count=1 so a cached pass can't mask a
 # regression introduced by a dependency).
 alloc-check:
 	$(GO) test -count=1 -run 'TestSortAllocationBudget' ./internal/alist/
 	$(GO) test -count=1 -run 'TestWorkUnitAllocationBudget' ./internal/core/
 	$(GO) test -count=1 -run 'TestHistWorkUnitAllocationBudget' ./internal/hist/
+	$(GO) test -count=1 -run 'TestPredictValuesAllocationBudget' .
 
 race:
 	$(GO) test -race . ./internal/serve/... ./internal/flat/... ./internal/alist/... ./internal/core/... ./internal/sched/... ./internal/trace/... ./internal/hist/... ./internal/cluster/... ./internal/loadtest/...

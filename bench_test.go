@@ -18,6 +18,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/flat"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -246,15 +247,19 @@ func reportRowRate(b *testing.B, rows int) {
 }
 
 // BenchmarkPredictPointer is the pre-serving baseline: per-row map decode
-// plus a pointer-chasing tree walk (the Model.Predict loop).
+// into fresh tuple buffers plus a pointer-chasing walk of the tree itself
+// (not Model.Predict, which runs the compiled vote).
 func BenchmarkPredictPointer(b *testing.B) {
 	m, rows, _ := servingBenchSetup(b)
+	tr, nAttrs := m.Tree(), len(m.Schema().Attrs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, row := range rows {
-			if _, err := m.Predict(row); err != nil {
+			tu := dataset.Tuple{Cont: make([]float64, nAttrs), Cat: make([]int32, nAttrs)}
+			if err := m.dec.named(row, tu); err != nil {
 				b.Fatal(err)
 			}
+			tr.Predict(tu)
 		}
 	}
 	reportRowRate(b, len(rows))
@@ -264,13 +269,14 @@ func BenchmarkPredictPointer(b *testing.B) {
 // pre-decoded tuples.
 func BenchmarkPredictFlat(b *testing.B) {
 	m, _, tus := servingBenchSetup(b)
-	if err := m.Compile(); err != nil {
+	ft, err := flat.Compile(m.Tree())
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range tus {
-			m.compiled.Predict(tus[j])
+			ft.Predict(tus[j])
 		}
 	}
 	reportRowRate(b, len(tus))

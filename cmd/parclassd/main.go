@@ -10,9 +10,10 @@
 //	parclassd -model m.json -name fraud
 //	parclassd -synthetic F7-A32-D1000K -algorithm mwk -procs 4 -background-train
 //
-// Routes (also under /v1): POST /predict, GET /healthz, GET /metrics,
-// GET /models, GET /model/{name}, POST /models/{name} (hot swap). See
-// internal/serve. Training runs attach a build monitor, so GET /metrics
+// Routes, all under /v1: POST /v1/predict, POST /v1/ingest, GET
+// /v1/healthz, GET /v1/metrics, GET /v1/models, GET /v1/model/{name}, POST
+// /v1/models/{name} (hot swap). See internal/serve. Training runs attach a
+// build monitor, so GET /v1/metrics
 // carries a "build" section with the run's per-phase breakdown — live
 // while -background-train is still growing the tree.
 //
@@ -38,7 +39,7 @@
 // HIST-engine candidate on the window and hot-swaps it in ONLY when it
 // beats the serving model on a held-out window slice by more than
 // -retrain-margin — the accuracy tripwire that keeps a bad batch of labels
-// from degrading serving. Watch it on GET /metrics under "ingest".
+// from degrading serving. Watch it on GET /v1/metrics under "ingest".
 package main
 
 import (
@@ -76,7 +77,7 @@ func main() {
 		maxDepth  = flag.Int("max-depth", 0, "tree depth bound (0 = unlimited)")
 		doPrune   = flag.Bool("prune", false, "apply MDL pruning after growth")
 		bgTrain   = flag.Bool("background-train", false,
-			"start serving before training finishes; watch the build live on /metrics")
+			"start serving before training finishes; watch the build live on /v1/metrics")
 		trees       = flag.Int("trees", 0, "train a bagged forest of this many trees (0/1 = single tree)")
 		sampleFrac  = flag.Float64("sample-frac", 0, "bootstrap sample fraction per tree (0 = classic bootstrap)")
 		featureFrac = flag.Float64("feature-frac", 0, "attribute subsample fraction per tree (0 = all attributes)")
@@ -88,11 +89,11 @@ func main() {
 		queueDepth = flag.Int("queue-depth", serve.DefaultBatchQueueDepth,
 			"predict admission queue capacity in requests; a full queue sheds with 429 + Retry-After")
 		predictMaxBytes = flag.Int64("predict-max-bytes", serve.DefaultPredictMaxBytes,
-			"POST /predict body cap in bytes (oversized bodies answer 413)")
+			"POST /v1/predict body cap in bytes (oversized bodies answer 413)")
 		ingestWindow = flag.Int("ingest-window", serve.DefaultIngestWindow,
-			"labeled-row sliding window capacity for POST /ingest (0 disables online ingest)")
+			"labeled-row sliding window capacity for POST /v1/ingest (0 disables online ingest)")
 		retrainInterval = flag.Duration("retrain-interval", 5*time.Second,
-			"how often the background loop retrains on the ingest window (0 disables the loop; POST /ingest still fills the window)")
+			"how often the background loop retrains on the ingest window (0 disables the loop; POST /v1/ingest still fills the window)")
 		retrainMinRows = flag.Int("retrain-min-rows", 0,
 			"skip retrain cycles until the window holds this many rows (0 = default 500)")
 		retrainHoldout = flag.Int("retrain-holdout", 0,
@@ -222,9 +223,9 @@ func main() {
 	if *bgTrain {
 		go func() {
 			if err := train(); err != nil {
-				// Surface the failure instead of only logging it: /healthz
+				// Surface the failure instead of only logging it: /v1/healthz
 				// turns degraded (503 while nothing serves under the name)
-				// and /metrics carries the error, so orchestrators and
+				// and /v1/metrics carries the error, so orchestrators and
 				// dashboards see the dead training run.
 				s.RecordFailure(*name, err)
 				log.Printf("background training failed: %v", err)

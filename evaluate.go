@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -130,59 +129,19 @@ func CrossValidateContext(ctx context.Context, ds *Dataset, k int, seed int64, o
 // PredictProb returns the class-probability estimate for one example: the
 // training class distribution of the leaf the example lands in.
 func (m *Model) PredictProb(row map[string]string) (map[string]float64, error) {
-	tu, err := m.decodeRow(row)
-	if err != nil {
+	n := len(m.schema.Attrs)
+	tu := dataset.Tuple{Cont: make([]float64, n), Cat: make([]int32, n)}
+	if err := m.dec.named(row, tu); err != nil {
 		return nil, err
 	}
-	n := m.tree.Root
-	for !n.IsLeaf() {
-		var v float64
-		if n.Split.Kind == dataset.Continuous {
-			v = tu.Cont[n.Split.Attr]
-		} else {
-			v = float64(tu.Cat[n.Split.Attr])
-		}
-		if n.Split.GoesLeft(v) {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	out := make(map[string]float64, len(m.tree.Schema.Classes))
-	for j, name := range m.tree.Schema.Classes {
-		if n.N > 0 {
-			out[name] = float64(n.ClassCounts[j]) / float64(n.N)
+	leaf := m.tree.Leaf(tu)
+	out := make(map[string]float64, len(m.schema.Classes))
+	for j, name := range m.schema.Classes {
+		if leaf.N > 0 {
+			out[name] = float64(leaf.ClassCounts[j]) / float64(leaf.N)
 		} else {
 			out[name] = 0
 		}
 	}
 	return out, nil
-}
-
-// PredictDataset classifies every row of ds (ignoring its labels) and
-// returns the predicted class names in row order. Rows are already decoded
-// columnar data, so this takes the compiled flat-tree batch path directly.
-func (m *Model) PredictDataset(ds *Dataset) []string {
-	n := ds.NumRows()
-	out := make([]string, n)
-	if n == 0 {
-		return out
-	}
-	if err := m.Compile(); err != nil {
-		// Compile only fails on malformed trees, which Train and LoadModel
-		// never produce; fall back to the pointer walk regardless.
-		for i := 0; i < n; i++ {
-			out[i] = m.tree.Schema.Classes[m.tree.Predict(ds.tbl.Row(i))]
-		}
-		return out
-	}
-	tus := make([]dataset.Tuple, n)
-	for i := range tus {
-		tus[i] = ds.tbl.Row(i)
-	}
-	codes := m.compiled.PredictBatch(tus, runtime.GOMAXPROCS(0))
-	for i, c := range codes {
-		out[i] = m.tree.Schema.Classes[c]
-	}
-	return out
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -26,10 +25,7 @@ import (
 // seeds derive from ForestSeed and the tree index alone, so changing
 // Procs reschedules the same trees, never different ones.
 type Forest struct {
-	trees  []*tree.Tree
-	schema *dataset.Schema
-	dec    rowDecoder
-	nclass int
+	scorer
 
 	sampleFrac  float64
 	featureFrac float64
@@ -41,33 +37,12 @@ type Forest struct {
 	// a forest loaded from disk).
 	oobErr  float64
 	oobRows int
-
-	// compiled is the fused flat-pool predictor, built lazily by Compile.
-	compileOnce sync.Once
-	compiled    *flat.Forest
-	compileErr  error
-	// valsPool recycles per-call decode + vote buffers.
-	valsPool sync.Pool
-}
-
-// forestBuf is one predict call's reusable decode and vote scratch.
-type forestBuf struct {
-	cont   []float64
-	cat    []int32
-	counts []int32
 }
 
 func newForest(trees []*tree.Tree, sampleFrac, featureFrac float64, seed int64) *Forest {
-	s := trees[0].Schema
-	return &Forest{
-		trees:       trees,
-		schema:      s,
-		dec:         newRowDecoder(s),
-		nclass:      s.NumClasses(),
-		sampleFrac:  sampleFrac,
-		featureFrac: featureFrac,
-		seed:        seed,
-	}
+	f := &Forest{sampleFrac: sampleFrac, featureFrac: featureFrac, seed: seed}
+	f.init(trees)
+	return f
 }
 
 // TrainForest grows an ensemble of opt.Trees decision trees over
@@ -279,234 +254,19 @@ func featureMask(rng *rand.Rand, nattr int, frac float64) []bool {
 	return mask
 }
 
-// NumTrees reports the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
-// Schema exposes the forest's schema to in-module tooling. It is not part
-// of the stable API.
-func (f *Forest) Schema() *dataset.Schema { return f.schema }
-
 // Timings returns the build's wall-clock phase breakdown (zero for
 // forests loaded from disk).
 func (f *Forest) Timings() Timings { return f.timings }
 
-// Stats sums structural statistics over the members; Levels and
-// MaxLeavesPerLevel are maxima.
-func (f *Forest) Stats() TreeStats {
-	var out TreeStats
-	for _, tr := range f.trees {
-		s := tr.Stats()
-		out.Nodes += s.Nodes
-		out.Leaves += s.Leaves
-		if s.Levels > out.Levels {
-			out.Levels = s.Levels
-		}
-		if s.MaxLeavesPerLevel > out.MaxLeavesPerLevel {
-			out.MaxLeavesPerLevel = s.MaxLeavesPerLevel
-		}
-	}
-	return out
-}
-
-// Compile builds (once, lazily) the fused flat predictor backing every
-// batch path: all member trees concatenated into one contiguous preorder
-// node pool, voted row-major. Safe for concurrent use.
-func (f *Forest) Compile() error {
-	f.compileOnce.Do(func() {
-		f.compiled, f.compileErr = flat.CompileForest(f.trees)
-		if f.compileErr != nil {
-			f.compileErr = fmt.Errorf("%w: %v", ErrNotCompiled, f.compileErr)
-		}
-	})
-	return f.compileErr
-}
-
-// getBuf leases a decode + vote scratch sized for the schema.
-func (f *Forest) getBuf() *forestBuf {
-	b, _ := f.valsPool.Get().(*forestBuf)
-	if b == nil {
-		b = &forestBuf{
-			cont:   make([]float64, len(f.schema.Attrs)),
-			cat:    make([]int32, len(f.schema.Attrs)),
-			counts: make([]int32, f.nclass),
-		}
-	}
-	return b
-}
-
-// Predict classifies one example given as attribute-name → value strings,
-// by majority vote of the member trees.
-func (f *Forest) Predict(row map[string]string) (string, error) {
-	cls, _, err := f.predictRow(row, false)
-	return cls, err
-}
-
-// PredictProba classifies one named row, also returning the fraction of
-// trees voting for each class.
+// PredictProba classifies one named row by majority vote, also returning
+// the fraction of trees voting for each class.
 func (f *Forest) PredictProba(row map[string]string) (string, map[string]float64, error) {
-	return f.predictRow(row, true)
-}
-
-func (f *Forest) predictRow(row map[string]string, wantProba bool) (string, map[string]float64, error) {
-	if err := f.Compile(); err != nil {
-		return "", nil, err
-	}
-	b := f.getBuf()
-	tu := dataset.Tuple{Cont: b.cont, Cat: b.cat}
-	if err := f.dec.decodeRowInto(row, tu); err != nil {
-		f.valsPool.Put(b)
-		return "", nil, err
-	}
-	cls := f.schema.Classes[f.classify(tu, b.counts)]
-	var proba map[string]float64
-	if wantProba {
-		proba = f.votesToProba(b.counts)
-	}
-	f.valsPool.Put(b)
-	return cls, proba, nil
-}
-
-// PredictValues classifies one positional row (one string per schema
-// attribute, in Dataset.AttrNames order) by majority vote.
-func (f *Forest) PredictValues(vals []string) (string, error) {
-	cls, _, err := f.predictValues(vals, false)
-	return cls, err
+	return f.predictOne(func(tu dataset.Tuple) error { return f.dec.named(row, tu) }, true)
 }
 
 // PredictValuesProba is PredictProba for one positional row.
 func (f *Forest) PredictValuesProba(vals []string) (string, map[string]float64, error) {
-	return f.predictValues(vals, true)
-}
-
-func (f *Forest) predictValues(vals []string, wantProba bool) (string, map[string]float64, error) {
-	if err := f.Compile(); err != nil {
-		return "", nil, err
-	}
-	if len(vals) != len(f.schema.Attrs) {
-		return "", nil, fmt.Errorf("%w: got %d values, schema has %d attributes",
-			ErrUnknownAttribute, len(vals), len(f.schema.Attrs))
-	}
-	b := f.getBuf()
-	tu := dataset.Tuple{Cont: b.cont, Cat: b.cat}
-	for a, raw := range vals {
-		if err := f.dec.decodeValue(a, raw, tu); err != nil {
-			f.valsPool.Put(b)
-			return "", nil, err
-		}
-	}
-	cls := f.schema.Classes[f.classify(tu, b.counts)]
-	var proba map[string]float64
-	if wantProba {
-		proba = f.votesToProba(b.counts)
-	}
-	f.valsPool.Put(b)
-	return cls, proba, nil
-}
-
-// votesToProba converts a vote histogram into per-class fractions.
-func (f *Forest) votesToProba(counts []int32) map[string]float64 {
-	total := float64(len(f.trees))
-	out := make(map[string]float64, f.nclass)
-	for j, name := range f.schema.Classes {
-		out[name] = float64(counts[j]) / total
-	}
-	return out
-}
-
-// PredictValuesBatch classifies many positional rows at once: decode and
-// the fused row-major forest vote fan out over contiguous row shards, so
-// an N-tree forest costs one dispatch (and one decode per row), not N. A
-// malformed row fails the whole batch with an error naming the row index.
-func (f *Forest) PredictValuesBatch(rows [][]string) ([]string, error) {
-	return f.batch(len(rows), f.dec.positionalRows(rows))
-}
-
-// PredictBatch classifies many named rows at once, sharded like
-// PredictValuesBatch.
-func (f *Forest) PredictBatch(rows []map[string]string) ([]string, error) {
-	return f.batch(len(rows), f.dec.namedRows(rows))
-}
-
-// batch compiles on demand and runs predictBatch with the forest's shard
-// floor and vote.
-func (f *Forest) batch(n int, decode func(i int, tu dataset.Tuple) error) ([]string, error) {
-	if err := f.Compile(); err != nil {
-		return nil, err
-	}
-	// A forest row is ~NumTrees() tree walks, so the shard worth a
-	// goroutine shrinks with ensemble size.
-	return predictBatch(f.schema, n, batchShardMin/len(f.trees)+1, decode, f.classify)
-}
-
-// classify is one row's fused row-major vote (predictBatch's per-row step,
-// and the single-row forms'); votes is caller-owned scratch, one counter
-// per class, left holding the row's vote histogram.
-func (f *Forest) classify(tu dataset.Tuple, votes []int32) int32 {
-	clear(votes)
-	return f.compiled.Vote(tu, votes)
-}
-
-// PredictDataset classifies every row of ds (ignoring its labels) in
-// order through the fused batch path.
-func (f *Forest) PredictDataset(ds *Dataset) []string {
-	codes := f.predictDatasetCodes(ds)
-	out := make([]string, len(codes))
-	for i, c := range codes {
-		out[i] = f.schema.Classes[c]
-	}
-	return out
-}
-
-// Accuracy returns the fraction of ds classified correctly by the
-// ensemble vote.
-func (f *Forest) Accuracy(ds *Dataset) float64 {
-	n := ds.NumRows()
-	if n == 0 {
-		return 0
-	}
-	codes := f.predictDatasetCodes(ds)
-	hits := 0
-	for i, c := range codes {
-		if c == ds.tbl.Class(i) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(n)
-}
-
-func (f *Forest) predictDatasetCodes(ds *Dataset) []int32 {
-	n := ds.NumRows()
-	if n == 0 {
-		return nil
-	}
-	if err := f.Compile(); err != nil {
-		// Compile only fails on malformed trees, which TrainForest and
-		// ReadModel never produce; fall back to pointer walks regardless.
-		codes := make([]int32, n)
-		counts := make([]int64, f.nclass)
-		for i := 0; i < n; i++ {
-			tu := ds.tbl.Row(i)
-			for j := range counts {
-				counts[j] = 0
-			}
-			for _, tr := range f.trees {
-				counts[tr.Predict(tu)]++
-			}
-			best := int32(0)
-			for j := 1; j < f.nclass; j++ {
-				if counts[j] > counts[best] {
-					best = int32(j)
-				}
-			}
-			codes[i] = best
-		}
-		return codes
-	}
-	tus := make([]dataset.Tuple, n)
-	for i := range tus {
-		tus[i] = ds.tbl.Row(i)
-	}
-	return f.compiled.PredictBatch(tus, runtime.GOMAXPROCS(0))
+	return f.predictOne(func(tu dataset.Tuple) error { return f.dec.values(vals, tu) }, true)
 }
 
 // WriteModel serializes the forest as the v2 multi-tree envelope.

@@ -204,7 +204,7 @@ func TestIngestContract(t *testing.T) {
 		t.Fatalf("window holds %d rows after rejected NaN bulk, want 0", got)
 	}
 
-	// Single-row and bulk happy paths, on both the /v1 and alias paths.
+	// Single-row and bulk happy paths.
 	var single ingestResponse
 	if code := postJSON(t, ts.URL+"/v1/ingest",
 		ingestRequest{Values: rows[0].vals, Class: rows[0].class}, &single); code != 200 {
@@ -217,13 +217,13 @@ func TestIngestContract(t *testing.T) {
 	if bulk.WindowSize != 10 || bulk.WindowTotal != 10 {
 		t.Fatalf("bulk ingest = %+v", bulk)
 	}
-	var alias ingestResponse
-	if code := postJSON(t, ts.URL+"/ingest",
-		ingestRequest{Values: rows[0].vals, Class: rows[0].class}, &alias); code != 200 {
-		t.Fatalf("alias ingest status %d", code)
+	var again ingestResponse
+	if code := postJSON(t, ts.URL+"/v1/ingest",
+		ingestRequest{Values: rows[0].vals, Class: rows[0].class}, &again); code != 200 {
+		t.Fatalf("second single ingest status %d", code)
 	}
-	if alias.WindowTotal != 11 {
-		t.Fatalf("alias ingest = %+v", alias)
+	if again.WindowTotal != 11 {
+		t.Fatalf("second single ingest = %+v", again)
 	}
 }
 

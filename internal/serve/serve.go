@@ -2,13 +2,13 @@
 // server over a registry of trained parclass models. The request path is
 // the FastFlow farm shape the training engines already use — accept,
 // decode, fan a batch out over worker shards (Model.PredictBatch), reduce
-// — and models are hot-swappable: POST /models/{name} parses and compiles
+// — and models are hot-swappable: POST /v1/models/{name} parses and compiles
 // the replacement off to the side, then publishes it with one atomic
 // pointer store, so in-flight requests finish on the model they started
 // with and no request is ever dropped during a swap.
 //
-// Routes (each also available under the versioned /v1 prefix, the stable
-// contract; the unversioned paths are aliases kept for old clients):
+// Routes, all under the versioned /v1 prefix (unversioned paths answer
+// 404):
 //
 //	POST /v1/predict          classify one row or a batch of rows
 //	POST /v1/ingest           append labeled rows to the retrain window
@@ -264,20 +264,18 @@ func (s *Server) current(name string) (*slot, *loadedModel) {
 	return sl, sl.ptr.Load()
 }
 
-// Handler builds the route table: every route under /v1 (the stable
-// contract) and again unversioned (aliases for old clients), with a
-// methodless fallback per path answering 405 + Allow for wrong-method hits.
+// Handler builds the route table: every route under /v1, the stable
+// contract, with a methodless fallback per path answering 405 + Allow for
+// wrong-method hits.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, p := range []string{"", "/v1"} {
-		route(mux, "POST", p+"/predict", s.handlePredict)
-		route(mux, "POST", p+"/ingest", s.handleIngest)
-		route(mux, "GET", p+"/healthz", s.handleHealthz)
-		route(mux, "GET", p+"/metrics", s.handleMetrics)
-		route(mux, "GET", p+"/models", s.handleList)
-		route(mux, "GET", p+"/model/{name}", s.handleModelInfo)
-		route(mux, "POST", p+"/models/{name}", s.handleModelSwap)
-	}
+	route(mux, "POST", "/v1/predict", s.handlePredict)
+	route(mux, "POST", "/v1/ingest", s.handleIngest)
+	route(mux, "GET", "/v1/healthz", s.handleHealthz)
+	route(mux, "GET", "/v1/metrics", s.handleMetrics)
+	route(mux, "GET", "/v1/models", s.handleList)
+	route(mux, "GET", "/v1/model/{name}", s.handleModelInfo)
+	route(mux, "POST", "/v1/models/{name}", s.handleModelSwap)
 	return mux
 }
 

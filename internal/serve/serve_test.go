@@ -92,7 +92,7 @@ func TestPredictSingleAndBatch(t *testing.T) {
 	_, ts := newTestServer(t, m)
 
 	var single predictResponse
-	if code := postJSON(t, ts.URL+"/predict", predictRequest{Row: sampleRow("25")}, &single); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Row: sampleRow("25")}, &single); code != 200 {
 		t.Fatalf("single predict status %d", code)
 	}
 	want, err := m.Predict(sampleRow("25"))
@@ -105,7 +105,7 @@ func TestPredictSingleAndBatch(t *testing.T) {
 
 	rows := []map[string]string{sampleRow("25"), sampleRow("50"), sampleRow("70")}
 	var batch predictResponse
-	if code := postJSON(t, ts.URL+"/predict", predictRequest{Rows: rows}, &batch); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Rows: rows}, &batch); code != 200 {
 		t.Fatalf("batch predict status %d", code)
 	}
 	if len(batch.Predictions) != 3 || batch.Rows != 3 {
@@ -124,11 +124,11 @@ func TestPredictErrors(t *testing.T) {
 	_, ts := newTestServer(t, m)
 
 	// Unknown model.
-	if code := postJSON(t, ts.URL+"/predict", predictRequest{Model: "nope", Row: sampleRow("25")}, nil); code != 404 {
+	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "nope", Row: sampleRow("25")}, nil); code != 404 {
 		t.Fatalf("unknown model status %d, want 404", code)
 	}
 	// Malformed JSON.
-	resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader([]byte("{nope")))
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +137,10 @@ func TestPredictErrors(t *testing.T) {
 		t.Fatalf("malformed body status %d, want 400", resp.StatusCode)
 	}
 	// Neither / both of row and rows.
-	if code := postJSON(t, ts.URL+"/predict", predictRequest{}, nil); code != 400 {
+	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{}, nil); code != 400 {
 		t.Fatalf("empty request status %d, want 400", code)
 	}
-	if code := postJSON(t, ts.URL+"/predict", predictRequest{
+	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{
 		Row: sampleRow("25"), Rows: []map[string]string{sampleRow("30")},
 	}, nil); code != 400 {
 		t.Fatalf("row+rows status %d, want 400", code)
@@ -148,10 +148,10 @@ func TestPredictErrors(t *testing.T) {
 	// Undecodable row.
 	bad := sampleRow("25")
 	bad["car"] = "spaceship"
-	if code := postJSON(t, ts.URL+"/predict", predictRequest{Row: bad}, nil); code != 422 {
+	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Row: bad}, nil); code != 422 {
 		t.Fatalf("bad category status %d, want 422", code)
 	}
-	if code := postJSON(t, ts.URL+"/predict", predictRequest{
+	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{
 		Rows: []map[string]string{sampleRow("25"), bad},
 	}, nil); code != 422 {
 		t.Fatalf("bad batch row status %d, want 422", code)
@@ -166,7 +166,7 @@ func TestHealthzMetricsAndInfo(t *testing.T) {
 		Status string `json:"status"`
 		Models int    `json:"models"`
 	}
-	if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/healthz", &health); code != 200 {
 		t.Fatalf("healthz status %d", code)
 	}
 	if health.Status != "ok" || health.Models != 1 {
@@ -175,14 +175,14 @@ func TestHealthzMetricsAndInfo(t *testing.T) {
 
 	// Generate some traffic, then check the counters moved.
 	for i := 0; i < 5; i++ {
-		postJSON(t, ts.URL+"/predict", predictRequest{Rows: []map[string]string{
+		postJSON(t, ts.URL+"/v1/predict", predictRequest{Rows: []map[string]string{
 			sampleRow("25"), sampleRow("60"),
 		}}, nil)
 	}
-	postJSON(t, ts.URL+"/predict", predictRequest{Model: "nope", Row: sampleRow("25")}, nil)
+	postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "nope", Row: sampleRow("25")}, nil)
 
 	var snap metricsSnapshot
-	if code := getJSON(t, ts.URL+"/metrics", &snap); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/metrics", &snap); code != 200 {
 		t.Fatalf("metrics status %d", code)
 	}
 	pr := snap.Requests["predict"]
@@ -207,7 +207,7 @@ func TestHealthzMetricsAndInfo(t *testing.T) {
 	}
 
 	var info ModelInfo
-	if code := getJSON(t, ts.URL+"/model/default?rules=1", &info); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/model/default?rules=1", &info); code != 200 {
 		t.Fatalf("model info status %d", code)
 	}
 	if info.Stats.Nodes < 3 || len(info.Classes) != 2 || len(info.Attrs) != 9 {
@@ -216,7 +216,7 @@ func TestHealthzMetricsAndInfo(t *testing.T) {
 	if len(info.Rules) != info.Stats.Leaves {
 		t.Fatalf("rules %d != leaves %d", len(info.Rules), info.Stats.Leaves)
 	}
-	if code := getJSON(t, ts.URL+"/model/nope", nil); code != 404 {
+	if code := getJSON(t, ts.URL+"/v1/model/nope", nil); code != 404 {
 		t.Fatalf("missing model info status %d, want 404", code)
 	}
 
@@ -225,7 +225,7 @@ func TestHealthzMetricsAndInfo(t *testing.T) {
 			Name string `json:"name"`
 		} `json:"models"`
 	}
-	if code := getJSON(t, ts.URL+"/models", &list); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/models", &list); code != 200 {
 		t.Fatalf("models list status %d", code)
 	}
 	if len(list.Models) != 1 || list.Models[0].Name != "default" {
@@ -253,7 +253,7 @@ func TestModelSwapEndpoint(t *testing.T) {
 		name    string
 		swapped bool
 	}{{"default", true}, {"fresh", false}} {
-		resp, err := http.Post(ts.URL+"/models/"+tc.name, "application/json",
+		resp, err := http.Post(ts.URL+"/v1/models/"+tc.name, "application/json",
 			bytes.NewReader(modelBytes(t, m2)))
 		if err != nil {
 			t.Fatal(err)
@@ -275,7 +275,7 @@ func TestModelSwapEndpoint(t *testing.T) {
 	}
 
 	// Garbage body is rejected and leaves the registry untouched.
-	resp, err := http.Post(ts.URL+"/models/default", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/models/default", "application/json",
 		bytes.NewReader([]byte("not a model")))
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +319,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 					req.Rows = []map[string]string{sampleRow(age), sampleRow("33"), sampleRow("71")}
 				}
 				body, _ := json.Marshal(req)
-				resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errc <- err
 					return
@@ -354,7 +354,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 			if i%2 == 0 {
 				body = bodyB
 			}
-			resp, err := http.Post(ts.URL+"/models/default", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/models/default", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errc <- err
 				return
@@ -376,7 +376,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 
 	var snap metricsSnapshot
-	if code := getJSON(t, ts.URL+"/metrics", &snap); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/metrics", &snap); code != 200 {
 		t.Fatalf("metrics status %d", code)
 	}
 	if got := snap.Requests["predict"]; got.Errors != 0 || got.Requests != workers*perWorker {

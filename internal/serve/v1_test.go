@@ -22,21 +22,25 @@ func sampleValues(m *parclass.Model, age string) []string {
 	return vals
 }
 
-// TestV1Routes exercises every route under the /v1 prefix and checks it
-// answers identically to its unversioned alias.
+// TestV1Routes exercises every route under the /v1 prefix and checks the
+// unversioned paths are gone.
 func TestV1Routes(t *testing.T) {
 	m := trainModel(t, 1, 2000)
 	_, ts := newTestServer(t, m)
 
-	var v1, alias predictResponse
+	want, err := m.Predict(sampleRow("25"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 predictResponse
 	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Row: sampleRow("25")}, &v1); code != 200 {
 		t.Fatalf("/v1/predict status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/predict", predictRequest{Row: sampleRow("25")}, &alias); code != 200 {
-		t.Fatalf("/predict status %d", code)
+	if v1.Prediction != want {
+		t.Fatalf("/v1/predict %q, model says %q", v1.Prediction, want)
 	}
-	if v1.Prediction != alias.Prediction {
-		t.Fatalf("v1 %q != alias %q", v1.Prediction, alias.Prediction)
+	if code := postJSON(t, ts.URL+"/predict", predictRequest{Row: sampleRow("25")}, nil); code != http.StatusNotFound {
+		t.Fatalf("unversioned /predict status %d, want 404", code)
 	}
 
 	for _, path := range []string{"/v1/healthz", "/v1/metrics", "/v1/models", "/v1/model/default"} {
@@ -51,7 +55,7 @@ func TestV1Routes(t *testing.T) {
 }
 
 // TestMethodNotAllowed checks wrong-method hits on known paths answer 405
-// with an Allow header and a JSON error body, on both route families.
+// with an Allow header and a JSON error body.
 func TestMethodNotAllowed(t *testing.T) {
 	m := trainModel(t, 1, 1000)
 	_, ts := newTestServer(t, m)
@@ -59,11 +63,12 @@ func TestMethodNotAllowed(t *testing.T) {
 	cases := []struct {
 		method, path, allow string
 	}{
-		{http.MethodGet, "/predict", "POST"},
 		{http.MethodGet, "/v1/predict", "POST"},
+		{http.MethodGet, "/v1/ingest", "POST"},
 		{http.MethodDelete, "/v1/models/default", "POST"},
 		{http.MethodPost, "/v1/healthz", "GET"},
-		{http.MethodPost, "/metrics", "GET"},
+		{http.MethodPost, "/v1/metrics", "GET"},
+		{http.MethodPost, "/v1/models", "GET"},
 		{http.MethodPut, "/v1/model/default", "GET"},
 	}
 	for _, tc := range cases {

@@ -60,7 +60,10 @@ type Tree struct {
 }
 
 // Predict classifies one decoded tuple, returning the class code.
-func (t *Tree) Predict(tu dataset.Tuple) int32 {
+func (t *Tree) Predict(tu dataset.Tuple) int32 { return t.Leaf(tu).Class }
+
+// Leaf returns the leaf a decoded tuple lands in.
+func (t *Tree) Leaf(tu dataset.Tuple) *Node {
 	n := t.Root
 	for !n.IsLeaf() {
 		var v float64
@@ -75,7 +78,7 @@ func (t *Tree) Predict(tu dataset.Tuple) int32 {
 			n = n.Right
 		}
 	}
-	return n.Class
+	return n
 }
 
 // Accuracy returns the fraction of tuples in tbl the tree classifies

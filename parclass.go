@@ -24,13 +24,11 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/alist"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/flat"
 	"repro/internal/probe"
 	"repro/internal/prune"
 	"repro/internal/sliq"
@@ -365,27 +363,23 @@ type TreeStats struct {
 
 // Model is a trained decision-tree classifier. A Model is immutable once
 // returned by Train or LoadModel and safe for concurrent use by multiple
-// goroutines.
+// goroutines. Its predict methods are the ones Forest runs too: a Model is
+// scored as a one-member ensemble.
 type Model struct {
+	scorer
 	tree    *tree.Tree
 	timings Timings
 	pruned  int
-	// dec converts rows into schema tuples (shared logic with Forest).
-	dec rowDecoder
-	// compiled is the flat-array predictor, built lazily by Compile.
-	compileOnce sync.Once
-	compiled    *flat.Tree
-	compileErr  error
 	// buildTrace is the build observability record; nil for SLIQ models
 	// and models read back from disk.
 	buildTrace *BuildTrace
-	// valsPool recycles PredictValues' decode buffers.
-	valsPool sync.Pool
 }
 
-// newModel wraps a tree, precomputing the categorical decode index.
+// newModel wraps a tree as a one-member scorer.
 func newModel(tr *tree.Tree) *Model {
-	return &Model{tree: tr, dec: newRowDecoder(tr.Schema)}
+	m := &Model{tree: tr}
+	m.init([]*tree.Tree{tr})
+	return m
 }
 
 // Train grows (and optionally prunes) a decision tree over the dataset.
@@ -463,123 +457,6 @@ func (m *Model) BuildTrace() *BuildTrace { return m.buildTrace }
 // pruning was disabled).
 func (m *Model) PrunedSubtrees() int { return m.pruned }
 
-// Stats returns structural statistics of the tree.
-func (m *Model) Stats() TreeStats {
-	s := m.tree.Stats()
-	return TreeStats{
-		Nodes:             s.Nodes,
-		Leaves:            s.Leaves,
-		Levels:            s.Levels,
-		MaxLeavesPerLevel: s.MaxLeavesPerLevel,
-	}
-}
-
-// Accuracy returns the fraction of ds classified correctly.
-func (m *Model) Accuracy(ds *Dataset) float64 { return m.tree.Accuracy(ds.tbl) }
-
-// decodeRow converts a name→string row into a schema tuple.
-func (m *Model) decodeRow(row map[string]string) (dataset.Tuple, error) {
-	return m.dec.decodeRow(row)
-}
-
-// Predict classifies a single example given as attribute-name → value
-// strings (continuous values in any strconv.ParseFloat form, categorical
-// values by category name). Missing attributes are an error.
-func (m *Model) Predict(row map[string]string) (string, error) {
-	tu, err := m.decodeRow(row)
-	if err != nil {
-		return "", err
-	}
-	return m.tree.Schema.Classes[m.tree.Predict(tu)], nil
-}
-
-// Compile builds (once, lazily) the flat-array predictor that backs
-// PredictBatch: the tree linearized into a preorder node array with
-// bitmask categorical tests, trading a one-time compile for pointer-free
-// tree walks. Calling it eagerly after Train or LoadModel moves that cost
-// off the first request; PredictBatch compiles on demand otherwise. Safe
-// for concurrent use.
-func (m *Model) Compile() error {
-	m.compileOnce.Do(func() {
-		m.compiled, m.compileErr = flat.Compile(m.tree)
-		if m.compileErr != nil {
-			m.compileErr = fmt.Errorf("%w: %v", ErrNotCompiled, m.compileErr)
-		}
-	})
-	return m.compileErr
-}
-
-// valsBuf is PredictValues' reusable decode buffer.
-type valsBuf struct {
-	cont []float64
-	cat  []int32
-}
-
-// PredictValues classifies a single example given positionally: one string
-// per schema attribute, in Dataset.AttrNames order. It skips Predict's map
-// lookups and per-call allocations (buffers come from a pool), making it
-// the fast path for high-throughput callers that send rows in a fixed
-// column order. Wrong-width rows fail with ErrUnknownAttribute, undecodable
-// values with ErrUnknownValue.
-func (m *Model) PredictValues(vals []string) (string, error) {
-	if err := m.Compile(); err != nil {
-		return "", err
-	}
-	s := m.tree.Schema
-	if len(vals) != len(s.Attrs) {
-		return "", fmt.Errorf("%w: got %d values, schema has %d attributes",
-			ErrUnknownAttribute, len(vals), len(s.Attrs))
-	}
-	b, _ := m.valsPool.Get().(*valsBuf)
-	if b == nil {
-		b = &valsBuf{
-			cont: make([]float64, len(s.Attrs)),
-			cat:  make([]int32, len(s.Attrs)),
-		}
-	}
-	tu := dataset.Tuple{Cont: b.cont, Cat: b.cat}
-	for a, raw := range vals {
-		if err := m.dec.decodeValue(a, raw, tu); err != nil {
-			m.valsPool.Put(b)
-			return "", err
-		}
-	}
-	code := m.compiled.Predict(tu)
-	m.valsPool.Put(b)
-	return s.Classes[code], nil
-}
-
-// PredictValuesBatch classifies many positional rows at once: the batch
-// form of PredictValues, and the fast path for bulk positional traffic
-// (the server's "values_rows" request form and its micro-batcher dispatch
-// both land here). Decode and the compiled flat-tree walk fan out over
-// contiguous row shards exactly like PredictBatch, with one backing array
-// per column kind instead of per-row buffers. It returns one predicted
-// class name per row, in order; a malformed row fails the whole batch with
-// an error naming the row index ("row %d: ...") and wrapping the same
-// sentinel PredictValues would return for that row alone.
-func (m *Model) PredictValuesBatch(rows [][]string) ([]string, error) {
-	if err := m.Compile(); err != nil {
-		return nil, err
-	}
-	return predictBatch(m.tree.Schema, len(rows), batchShardMin, m.dec.positionalRows(rows), m.classify)
-}
-
-// PredictBatch classifies many examples at once, fanning decode + compiled
-// tree walks out over contiguous row shards (one goroutine per GOMAXPROCS
-// processor for large batches). It returns one predicted class name per
-// row, in order; a malformed row fails the whole batch with an error naming
-// the row index.
-func (m *Model) PredictBatch(rows []map[string]string) ([]string, error) {
-	if err := m.Compile(); err != nil {
-		return nil, err
-	}
-	return predictBatch(m.tree.Schema, len(rows), batchShardMin, m.dec.namedRows(rows), m.classify)
-}
-
-// classify is predictBatch's per-row step: one compiled tree walk.
-func (m *Model) classify(tu dataset.Tuple, _ []int32) int32 { return m.compiled.Predict(tu) }
-
 // String renders the tree as an indented outline.
 func (m *Model) String() string { return m.tree.String() }
 
@@ -613,10 +490,3 @@ func (m *Model) AttrImportance() []string {
 // Tree exposes the underlying tree to in-module tooling. It is not part of
 // the stable API.
 func (m *Model) Tree() *tree.Tree { return m.tree }
-
-// Schema exposes the model's schema to in-module tooling. It is not part
-// of the stable API.
-func (m *Model) Schema() *dataset.Schema { return m.tree.Schema }
-
-// NumTrees reports the ensemble size; a Model is always one tree.
-func (m *Model) NumTrees() int { return 1 }
