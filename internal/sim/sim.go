@@ -218,7 +218,8 @@ func (s *simState) listSchedule(ws []int, costs []float64) {
 
 // runBasic simulates BASIC: per level, attribute-parallel E with dynamic
 // scheduling, a barrier, the master serially doing W for every leaf, a
-// barrier, attribute-parallel S, and a final level barrier.
+// barrier, attribute-parallel S, a barrier, and the level bookkeeping
+// barrier (frontier swap by the master) — the engine's four.
 func (s *simState) runBasic() {
 	ws := identity(s.procs)
 	for li := range s.tr.Levels {
@@ -243,6 +244,7 @@ func (s *simState) runBasic() {
 		s.busy[ws[0]] += wCost
 		s.barrierAll(ws)
 		s.listSchedule(ws, sCosts)
+		s.barrierAll(ws)
 		s.barrierAll(ws)
 	}
 }

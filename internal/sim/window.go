@@ -18,7 +18,8 @@ import (
 // MWK (moving=true): no block barriers. Each processor walks the level's
 // leaves in order; before touching leaf i it waits on leaf i−K's "done"
 // condition (W complete); after a leaf's E units are exhausted it waits for
-// that leaf's W and grabs the leaf's S units. One barrier per level.
+// that leaf's W and grabs the leaf's S units. Two barriers per level: the
+// level's close and the level bookkeeping one, as in FWK.
 func (s *simState) runWindow(moving bool) {
 	ws := identity(s.procs)
 	K := s.windowK
@@ -41,6 +42,7 @@ func (s *simState) runWindow(moving bool) {
 			continue
 		}
 		s.mwkLeaves(ws, lv, 0, n)
+		s.barrierAll(ws)
 		s.barrierAll(ws)
 	}
 }
