@@ -4,11 +4,14 @@
 # race-checks the concurrent packages (the public API, the model server,
 # the flat batch predictor, the attribute-list stores, the training
 # engines and their scheduling primitives), and vets and tests the
-# benchmark/ module against the API surface it calls.
+# benchmark/ module against the API surface it calls. `make fuzz` runs
+# each native fuzz target for FUZZTIME (default 30s); it is not part of
+# verify.
 
 GO ?= go
+FUZZTIME ?= 30s
 
-.PHONY: verify build vet fmt-check test alloc-check race chaos ingest-soak cluster-soak benchmark-module bench benchcmp gobench serve-bench servebench driftbench clusterbench
+.PHONY: verify build vet fmt-check test alloc-check race chaos ingest-soak cluster-soak benchmark-module fuzz bench benchcmp gobench serve-bench servebench driftbench clusterbench
 
 verify: build vet fmt-check test alloc-check race chaos ingest-soak cluster-soak benchmark-module
 
@@ -66,6 +69,12 @@ cluster-soak:
 # that breaks the repo benchmark fails the gate.
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
+
+# Native fuzzing, outside verify: the model reader and the CSV loaders, each
+# for FUZZTIME (tier-1 `go test` already runs their seeds).
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
 
 # The build-phase observability sweep: real instrumented builds over the
 # paper's F1/F7 pair plus the forest build/serve rows, written to the

@@ -7,12 +7,16 @@
 // and a FREE queue of idle processors), plus the record-data-parallel
 // baseline of §3.1 for comparison.
 //
-// A processor group is the one unit the level-synchronous list schemes run
-// on, and each policy's level is written once (levelBasic, levelFWK,
-// levelMWK): BASIC, FWK and MWK run one group of all processors level after
-// level, and SUBTREE runs the BASIC or MWK level on the groups it splits
-// and re-forms. Every engine starts its workers through sched.Spawn and
-// latches failures in the build's one error latch.
+// A processor group is the one unit the level-synchronous schemes run on,
+// and each policy's level is written once (levelBasic, levelFWK, levelMWK,
+// levelRecPar, levelHist): BASIC, FWK, MWK, RECPAR and HIST run one group
+// of all processors level after level under runGroup, and SUBTREE runs the
+// BASIC or MWK level on the groups it splits and re-forms. HIST bins its
+// table in an attribute farm before the group starts, as setup farms out
+// the attribute lists. Serial keeps its own loop: it is the reference the
+// identity tests compare against and the cost tracer the simulator
+// replays. Every engine starts its workers through sched.Spawn and latches
+// failures in the build's one error latch.
 package core
 
 import (

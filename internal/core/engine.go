@@ -69,6 +69,7 @@ type engine struct {
 	store   alist.Store
 	bscan   alist.BufferedScanner // non-nil when store scans through caller buffers
 	probes  probe.Factory
+	hs      *histState // HIST only, set once binning ends
 	timings Timings
 	rec     *trace.Recorder
 
@@ -120,104 +121,36 @@ func Build(tbl *dataset.Table, cfg Config) (tr *tree.Tree, tm Timings, err error
 	}
 
 	// The Hist engine has no attribute lists: no store, no setup/sort
-	// phases, no probes. Everything — including the binning pass — runs
-	// inside the build wall clock, recorded as its own phase.
+	// phases, no probes. Its binning farm runs inside the build wall clock,
+	// recorded as its own phase.
+	var root *leafState
 	if cfg.Algorithm == Hist {
-		root := e.setupHist()
-		t0 := time.Now()
-		err = e.runHist(root)
-		e.timings.Build = time.Since(t0)
-		if err != nil {
-			return nil, e.timings, err
-		}
-		tr = &tree.Tree{Root: root.node, Schema: e.schema}
-		renumber(tr)
-		return tr, e.timings, nil
-	}
-
-	// Two levels' lists are live at once; SUBTREE starts there and grows its
-	// slot pool on demand, up to 4 per concurrently active group.
-	slots := 2 * e.levelWidth()
-	if cfg.storeOverride != nil {
-		e.store = cfg.storeOverride
-		if err := e.store.EnsureSlots(slots); err != nil {
+		root = e.setupHist()
+	} else {
+		defer func() {
+			if cErr := e.closeStore(); cErr != nil && err == nil {
+				tr, err = nil, cErr
+			}
+		}()
+		if err = e.openStore(); err != nil {
 			return nil, Timings{}, err
 		}
-	} else {
-		switch cfg.Storage {
-		case Memory:
-			e.store = alist.NewMemStore(e.nattr, slots)
-		case Disk:
-			dir := cfg.TempDir
-			if dir == "" {
-				d, mkErr := os.MkdirTemp("", "parclass-alist-")
-				if mkErr != nil {
-					return nil, Timings{}, fmt.Errorf("core: creating temp dir: %w", mkErr)
-				}
-				dir = d
-				e.tmpDir = d
-				// Registered before the store constructors run, so a
-				// constructor failure can no longer leak the directory;
-				// LIFO defer order puts this removal after the store's
-				// Close below.
-				defer func() {
-					if rmErr := os.RemoveAll(d); rmErr != nil && err == nil {
-						tr = nil
-						err = fmt.Errorf("core: removing temp dir: %w", rmErr)
-					}
-				}()
-			}
-			if cfg.CombinedFiles {
-				st, cErr := alist.NewCombinedFileStore(dir, e.nattr, slots, e.ntuples)
-				if cErr != nil {
-					return nil, Timings{}, cErr
-				}
-				e.store = st
-			} else {
-				st, cErr := alist.NewFileStore(dir, e.nattr, slots)
-				if cErr != nil {
-					return nil, Timings{}, cErr
-				}
-				e.store = st
-			}
+		if e.probes, err = probe.NewFactory(cfg.Probe, e.ntuples); err != nil {
+			return nil, Timings{}, err
 		}
-	}
-	if cfg.StoreWrap != nil {
-		e.store = cfg.StoreWrap(e.store)
-	}
-	// Transient store faults (interrupted syscalls, short writes, injected
-	// chaos faults) are healed in place by a bounded retry layer; permanent
-	// errors pass straight through to the engine error paths.
-	e.store = alist.Retrying(e.store, cfg.Retry)
-	e.bscan, _ = e.store.(alist.BufferedScanner)
-	defer func() {
-		if cErr := e.store.Close(); cErr != nil && err == nil {
-			tr = nil
-			err = fmt.Errorf("core: closing store: %w", cErr)
+		if root, err = e.setup(); err != nil {
+			return nil, Timings{}, err
 		}
-	}()
-
-	fac, err := probe.NewFactory(cfg.Probe, e.ntuples)
-	if err != nil {
-		return nil, Timings{}, err
-	}
-	e.probes = fac
-
-	root, err := e.setup()
-	if err != nil {
-		return nil, Timings{}, err
 	}
 
 	t0 := time.Now()
 	switch cfg.Algorithm {
 	case Serial:
 		err = e.runSerial(root)
-	case Basic, FWK, MWK:
-		err = e.runGroup(root)
 	case Subtree:
 		err = e.runSubtree(root)
-	case RecPar:
-		err = e.runRecPar(root)
+	default:
+		err = e.runGroup(root)
 	}
 	e.timings.Build = time.Since(t0)
 	if err != nil {
@@ -236,12 +169,76 @@ func Build(tbl *dataset.Table, cfg Config) (tr *tree.Tree, tm Timings, err error
 	return tr, e.timings, nil
 }
 
+// openStore creates the build's attribute-list store over two levels'
+// slots — the override, a memory store, or a file store in TempDir or a
+// fresh temp dir — wrapped in StoreWrap and the retry layer. SUBTREE grows
+// its slot pool on demand, up to 4 per concurrently active group. A temp
+// dir it creates is recorded first, so closeStore removes it even when a
+// store constructor fails.
+func (e *engine) openStore() error {
+	slots := 2 * e.levelWidth()
+	var st alist.Store
+	var err error
+	switch {
+	case e.cfg.storeOverride != nil:
+		st = e.cfg.storeOverride
+		err = st.EnsureSlots(slots)
+	case e.cfg.Storage == Memory:
+		st = alist.NewMemStore(e.nattr, slots)
+	default:
+		dir := e.cfg.TempDir
+		if dir == "" {
+			if dir, err = os.MkdirTemp("", "parclass-alist-"); err != nil {
+				return fmt.Errorf("core: creating temp dir: %w", err)
+			}
+			e.tmpDir = dir
+		}
+		if e.cfg.CombinedFiles {
+			st, err = alist.NewCombinedFileStore(dir, e.nattr, slots, e.ntuples)
+		} else {
+			st, err = alist.NewFileStore(dir, e.nattr, slots)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if e.cfg.StoreWrap != nil {
+		st = e.cfg.StoreWrap(st)
+	}
+	// Transient store faults (interrupted syscalls, short writes, injected
+	// chaos faults) are healed in place by a bounded retry layer; permanent
+	// errors pass straight through to the engine error paths.
+	e.store = alist.Retrying(st, e.cfg.Retry)
+	e.bscan, _ = e.store.(alist.BufferedScanner)
+	return nil
+}
+
+// closeStore closes the store openStore opened, then removes the temp dir
+// it created, and returns the first failure.
+func (e *engine) closeStore() error {
+	var err error
+	if e.store != nil {
+		if cErr := e.store.Close(); cErr != nil {
+			err = fmt.Errorf("core: closing store: %w", cErr)
+		}
+	}
+	if e.tmpDir != "" {
+		if rmErr := os.RemoveAll(e.tmpDir); rmErr != nil && err == nil {
+			err = fmt.Errorf("core: removing temp dir: %w", rmErr)
+		}
+	}
+	return err
+}
+
 // levelWidth is the number of per-attribute slots one level's lists span in
-// the double-buffered file scheme: K for the windowed schemes, a left/right
-// pair otherwise.
+// the double-buffered file scheme: K for the windowed schemes, none for
+// HIST, which has no lists, and a left/right pair otherwise.
 func (e *engine) levelWidth() int {
-	if e.cfg.Algorithm == FWK || e.cfg.Algorithm == MWK {
+	switch e.cfg.Algorithm {
+	case FWK, MWK:
 		return e.cfg.WindowK
+	case Hist:
+		return 0
 	}
 	return 2
 }

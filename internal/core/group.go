@@ -9,19 +9,21 @@ import (
 )
 
 // group is a processor group working on a disjoint part of the leaf
-// frontier, the one unit every level-synchronous list scheme runs on: BASIC,
-// FWK and MWK run one group of all P workers for the whole build (runGroup),
-// while SUBTREE splits and re-forms groups between levels (paper Fig. 7).
-// workers[0] (the smallest id) is the group master. Everything below bar is
-// level state, written by arm while no worker runs the group's level.
+// frontier, the one unit every level-synchronous scheme runs on: BASIC,
+// FWK, MWK, RECPAR and HIST run one group of all P workers for the whole
+// build (runGroup), while SUBTREE splits and re-forms groups between levels
+// (paper Fig. 7). workers[0] (the smallest id) is the group master.
+// Everything below rp is level state, written by arm while no worker runs
+// the group's level.
 type group struct {
 	workers []int
 	bar     *sched.Barrier
+	rp      *recParSlots // RECPAR: per-worker exchange slots
 
 	frontier  []*leafState
 	level     int
-	eCtr      atomic.Int64    // BASIC: next E attribute to grab
-	sCtr      atomic.Int64    // BASIC: next S attribute to grab
+	eCtr      atomic.Int64    // BASIC: next E attribute; HIST: next E-merge attribute
+	sCtr      atomic.Int64    // BASIC: next S attribute; HIST: next S leaf
 	doneCh    []chan struct{} // MWK: per-leaf W-done signals
 	writePair [2]int          // slots the level's children are written into
 	window    int64           // FWK/MWK: children dealt over this many slots
@@ -34,8 +36,11 @@ type group struct {
 // slots from writePair[0] instead.
 func (e *engine) newGroup(workers []int, frontier []*leafState, writePair [2]int) *group {
 	g := &group{workers: workers, bar: sched.NewBarrier(len(workers))}
-	if e.cfg.Algorithm == FWK || e.cfg.Algorithm == MWK {
+	switch e.cfg.Algorithm {
+	case FWK, MWK:
 		g.window = int64(e.cfg.WindowK)
+	case RecPar:
+		g.rp = newRecParSlots(len(workers))
 	}
 	e.arm(g, frontier, writePair)
 	return g
@@ -57,11 +62,11 @@ func (e *engine) arm(g *group, frontier []*leafState, writePair [2]int) {
 }
 
 // childSlot is the group's placement rule for a valid child on side (0
-// left, 1 right). Pair placement (BASIC, SUBTREE) gives each side its own
-// slot of the write pair; window placement (FWK, MWK) numbers the level's
-// valid children consecutively and deals them round-robin over the K
-// next-level slots — the relabeling of §3.2.2 that leaves no holes in the
-// K-block schedule.
+// left, 1 right). Pair placement (BASIC, RECPAR, SUBTREE) gives each side
+// its own slot of the write pair; window placement (FWK, MWK) numbers the
+// level's valid children consecutively and deals them round-robin over the
+// K next-level slots — the relabeling of §3.2.2 that leaves no holes in
+// the K-block schedule.
 func (g *group) childSlot(side int) int {
 	if g.window == 0 {
 		return g.writePair[side]
@@ -78,28 +83,39 @@ func (e *engine) policy() Algorithm {
 	return e.cfg.Algorithm
 }
 
-// runLevel runs one level of g with the policy's level body. It reports
-// false when the group barrier was broken by an abort.
-func (e *engine) runLevel(g *group, master bool, ln *trace.Lane, sc *scratch) bool {
+// runLevel runs one level of g as worker id with the policy's level body.
+// It reports false when the group barrier was broken by an abort.
+func (e *engine) runLevel(g *group, id int, ln *trace.Lane, sc *scratch) bool {
 	switch e.policy() {
 	case FWK:
 		return e.levelFWK(g, ln, sc)
 	case MWK:
 		return e.levelMWK(g, ln, sc)
+	case RecPar:
+		return e.levelRecPar(g, id, ln, sc)
+	case Hist:
+		return e.levelHist(g, id, ln, sc)
 	default:
-		return e.levelBasic(g, master, ln, sc)
+		return e.levelBasic(g, id == g.workers[0], ln, sc)
 	}
 }
 
-// runGroup grows the tree for BASIC, FWK and MWK: one group of all P workers
-// runs the scheme's level body level after level. Between levels the master
-// builds the next frontier, recycles the level's slots and re-arms the group
-// to write the next level's children into the other half of the
-// double-buffered slots; this bookkeeping is accounted as S-phase cleanup.
+// runGroup grows the tree for every scheme but Serial and SUBTREE: one
+// group of all P workers runs the scheme's level body level after level.
+// Between levels the master builds the next frontier, recycles the level's
+// slots and re-arms the group to write the next level's children into the
+// other half of the double-buffered slots; this bookkeeping is accounted as
+// S-phase cleanup. HIST bins the table first, in a farm that ends before
+// the group starts.
 func (e *engine) runGroup(root *leafState) error {
 	frontier := e.rootFrontier(root)
 	if len(frontier) == 0 {
 		return nil
+	}
+	if e.cfg.Algorithm == Hist {
+		if err := e.binHist(); err != nil {
+			return err
+		}
 	}
 	nextPair := func(level int) [2]int {
 		base := e.pairBase(level + 1)
@@ -116,7 +132,7 @@ func (e *engine) runGroup(root *leafState) error {
 			// lvl is this iteration's level, captured while the master's
 			// re-arm is still a barrier away.
 			lvl := g.level
-			if !e.runLevel(g, id == 0, ln, sc) {
+			if !e.runLevel(g, id, ln, sc) {
 				return // build aborted by a dead worker's teardown
 			}
 			if id == 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -16,19 +15,22 @@ import (
 // The HIST scheme: instead of sorted attribute lists, the training table is
 // binned once (quantile-sketch cuts per continuous attribute, category codes
 // for categorical ones) and the tree grows over per-node class×bin
-// histograms. Per level the phases are:
+// histograms. The binning is an attribute farm (binHist) that ends before
+// the group starts; levelHist is the level body runGroup drives. Per level
+// the phases are:
 //
 //	E-local:  row-parallel — each worker accumulates its contiguous share of
 //	          every frontier leaf's rows into its private histogram arena.
-//	E-merge:  attribute-parallel — workers grab attributes with an atomic
-//	          counter, sum the per-worker histograms for that attribute
+//	E-merge:  attribute-parallel — workers grab attributes with the group's
+//	          E counter, sum the per-worker histograms for that attribute
 //	          across all leaves, and search the bin boundaries for the
 //	          attribute's best split.
 //	W:        the master votes the per-attribute winners, runs the purity
 //	          pre-test, and attaches children (child histograms are read off
 //	          the winning attribute's merged histogram — no data scan).
-//	S:        leaf-parallel — workers grab leaves and stably partition the
-//	          leaf's slice of the global row-index permutation in place.
+//	S:        leaf-parallel — workers grab leaves with the group's S counter
+//	          and stably partition the leaf's slice of the global row-index
+//	          permutation in place.
 //
 // Histograms are integer sums and the partition is stable, so the tree is
 // byte-identical for every processor count. The frontier is processed in
@@ -43,16 +45,16 @@ const histArenaBudget = 32 << 20
 // between barriers stays short even when the stride is tiny.
 const histMaxBlock = 64
 
-// histScratch is one HIST worker's reusable state: the local histogram
-// arena, the boundary/subset search evaluators, the partition staging
-// buffer and the binning sample buffer. After warm-up the steady-state
-// loops allocate nothing.
-type histScratch struct {
-	arena  []int64
-	cs     hist.ContSearch
-	cat    split.CatEval
-	buf    []uint32
-	sample []float64
+// histState is the HIST engine's shared build state, fixed once binning
+// ends: the binned matrix, the row-index permutation (a leaf's rows are
+// idx[rowLo:rowLo+n]), the leaf block size, every worker's local
+// histogram arena (read by all workers in E-merge) and the merged block.
+type histState struct {
+	m        *hist.Matrix
+	idx      []uint32
+	blockCap int
+	arenas   [][]int64
+	merged   []int64
 }
 
 // setupHist creates the Hist engine's root leaf. The class-histogram pass
@@ -82,278 +84,200 @@ func (e *engine) setupHist() *leafState {
 	}
 }
 
-// runHist grows the tree with the HIST scheme.
-func (e *engine) runHist(root *leafState) error {
-	P := e.cfg.Procs
-	bar := sched.NewBarrier(P)
-	ferr := &e.ferr
-
-	m := hist.NewMatrix(e.schema, e.tbl.ClassColumn())
-	idx := make([]uint32, e.ntuples)
-	for i := range idx {
-		idx[i] = uint32(i)
+// histUnit gates every HIST work unit: the build's cancellation check, then
+// the chaos seam for phase on worker id.
+func (e *engine) histUnit(phase string, id int) error {
+	if err := e.cancelled(); err != nil {
+		return err
 	}
-
-	frontier := e.rootFrontier(root)
-	if len(frontier) == 0 {
+	if e.cfg.histHook == nil {
 		return nil
 	}
+	return e.cfg.histHook(phase, id)
+}
 
-	// Shared state written only by the master between barriers (blockCap
-	// and merged once, after the binning barrier).
-	var (
-		binCtr, aCtr, lCtr atomic.Int64
-		merged             []int64
-		blockCap           int
-		next               []*leafState
-		done               bool
-		binFailed          bool
-	)
-	level := 0
-	scs := make([]*histScratch, P)
-
-	hook := func(phase string, id int) bool {
-		if e.cfg.histHook == nil {
-			return true
+// binHist is the HIST binning phase, an attribute farm like setup's:
+// workers grab attributes and bin their columns, each column written by
+// exactly one worker. The build goroutine then lays the matrix out and
+// sizes the blocks and arenas. A bin error or panic returns here, before
+// any level runs; every lane records its wait for the farm and the layout
+// as idle time.
+func (e *engine) binHist() error {
+	t0 := time.Now()
+	m := hist.NewMatrix(e.schema, e.tbl.ClassColumn())
+	samples := make([][]float64, e.cfg.Procs)
+	busy := make([]time.Duration, e.cfg.Procs)
+	if err := sched.Run(e.cfg.Procs, e.nattr, nil, func(w, a int) error {
+		if err := e.histUnit("bin", w); err != nil {
+			return err
 		}
-		if err := e.cfg.histHook(phase, id); err != nil {
-			ferr.Set(err)
+		t := time.Now()
+		if e.schema.Attrs[a].Kind == dataset.Continuous {
+			m.BinContinuous(a, e.tbl.ContColumn(a), e.cfg.MaxBins, &samples[w])
+		} else if err := m.BinCategorical(a, e.tbl.CatColumn(a), e.schema.Attrs[a].Cardinality()); err != nil {
+			return err
+		}
+		d := time.Since(t)
+		busy[w] += d
+		e.rec.Lane(w).Add(0, trace.PhaseBin, d)
+		return nil
+	}); err != nil {
+		return err
+	}
+	m.FinishLayout()
+	h := &histState{m: m, idx: make([]uint32, e.ntuples), arenas: make([][]int64, e.cfg.Procs)}
+	for i := range h.idx {
+		h.idx[i] = uint32(i)
+	}
+	h.blockCap = min(max(histArenaBudget/8/m.Stride, 1), histMaxBlock)
+	h.merged = make([]int64, h.blockCap*m.Stride)
+	for w := range h.arenas {
+		h.arenas[w] = make([]int64, h.blockCap*m.Stride)
+	}
+	e.hs = h
+	for w, b := range busy {
+		e.rec.Lane(w).AddN(0, trace.PhaseIdle, time.Since(t0)-b, 0)
+	}
+	return nil
+}
+
+// levelHist runs one level of group g as worker id with the HIST policy,
+// block by block, four barriers per block. It reports false when the group
+// barrier was broken by an abort.
+func (e *engine) levelHist(g *group, id int, ln *trace.Lane, sc *scratch) bool {
+	// Snapshot the level: the master re-arms g once the last block's
+	// barrier has passed, and the block loop must not observe that write.
+	h, frontier, lvl, P := e.hs, g.frontier, g.level, len(g.workers)
+	m, ferr := h.m, &e.ferr
+	for lo := 0; lo < len(frontier); lo += h.blockCap {
+		block := frontier[lo:min(lo+h.blockCap, len(frontier))]
+
+		// E-local: accumulate this worker's contiguous row share of every
+		// leaf in the block into the private arena.
+		if !ferr.Failed() {
+			ferr.Set(e.histUnit("accum", id))
+		}
+		if !ferr.Failed() {
+			t0 := time.Now()
+			var units int64
+			for li, l := range block {
+				if err := e.cancelled(); err != nil {
+					ferr.Set(err)
+					break
+				}
+				cell := h.arenas[id][li*m.Stride : (li+1)*m.Stride]
+				zeroInt64(cell, m.Stride)
+				rlo := l.rowLo + id*int(l.n)/P
+				rhi := l.rowLo + (id+1)*int(l.n)/P
+				if rlo >= rhi {
+					continue
+				}
+				for a := 0; a < e.nattr; a++ {
+					m.Accumulate(m.Cell(cell, a), a, h.idx, rlo, rhi)
+				}
+				units += int64(e.nattr)
+			}
+			ln.AddN(lvl, trace.PhaseEval, time.Since(t0), units)
+		}
+		if !g.bar.TimedWait(ln, lvl) {
 			return false
 		}
-		return true
-	}
 
-	worker := func(id int) {
-		ln := e.rec.Lane(id)
-		sc := &histScratch{}
-		scs[id] = sc
-
-		// Bin phase: dynamically grab attributes and bin their columns.
-		// Each attribute's column is written by exactly one worker.
+		// E-merge: grab attributes, sum the workers' local histograms and
+		// search each leaf's best split for the grabbed attribute.
+		// Attribute slices of merged and of l.cands are disjoint across
+		// workers.
 		for !ferr.Failed() {
-			a := int(binCtr.Add(1) - 1)
+			a := int(g.eCtr.Add(1) - 1)
 			if a >= e.nattr {
 				break
 			}
-			if err := e.cancelled(); err != nil {
+			if err := e.histUnit("merge", id); err != nil {
 				ferr.Set(err)
-				break
-			}
-			if !hook("bin", id) {
 				break
 			}
 			t0 := time.Now()
-			if e.schema.Attrs[a].Kind == dataset.Continuous {
-				m.BinContinuous(a, e.tbl.ContColumn(a), e.cfg.MaxBins, &sc.sample)
-			} else if err := m.BinCategorical(a, e.tbl.CatColumn(a), e.schema.Attrs[a].Cardinality()); err != nil {
+			for li, l := range block {
+				base := li * m.Stride
+				dst := m.Cell(h.merged[base:base+m.Stride], a)
+				copy(dst, m.Cell(h.arenas[0][base:base+m.Stride], a))
+				for _, arena := range h.arenas[1:P] {
+					src := m.Cell(arena[base:base+m.Stride], a)
+					for i := range dst {
+						dst[i] += src[i]
+					}
+				}
+				l.cands[a] = e.histBestSplit(m, a, dst, l, sc)
+			}
+			ln.AddN(lvl, trace.PhaseEval, time.Since(t0), int64(len(block)))
+		}
+		if !g.bar.TimedWait(ln, lvl) {
+			return false
+		}
+
+		// W: the master votes winners and attaches children; peers wait at
+		// the barrier (as in BASIC). Child class histograms come from the
+		// winning attribute's merged histogram — no data scan.
+		if id == 0 && !ferr.Failed() {
+			for li, l := range block {
+				if err := e.histUnit("winner", id); err != nil {
+					ferr.Set(err)
+					break
+				}
+				t0 := time.Now()
+				if err := e.histWinner(m, l, h.merged[li*m.Stride:(li+1)*m.Stride]); err != nil {
+					ferr.Set(err)
+					break
+				}
+				ln.Add(lvl, trace.PhaseWinner, time.Since(t0))
+			}
+			g.eCtr.Store(0)
+			g.sCtr.Store(0)
+		}
+		if !g.bar.TimedWait(ln, lvl) {
+			return false
+		}
+
+		// S: grab leaves and stably partition each split leaf's row-index
+		// range in place. A split whose children are both terminal needs no
+		// partition: nothing reads those rows again.
+		for !ferr.Failed() {
+			li := int(g.sCtr.Add(1) - 1)
+			if li >= len(block) {
+				break
+			}
+			l := block[li]
+			if !l.didSplit || (l.children[0].terminal && l.children[1].terminal) {
+				continue
+			}
+			if err := e.histUnit("split", id); err != nil {
 				ferr.Set(err)
 				break
 			}
-			ln.Add(0, trace.PhaseBin, time.Since(t0))
-		}
-		if !bar.TimedWait(ln, 0) {
-			return
-		}
-		if id == 0 {
-			if !ferr.Failed() {
-				t0 := time.Now()
-				m.FinishLayout()
-				blockCap = histArenaBudget / 8 / m.Stride
-				if blockCap < 1 {
-					blockCap = 1
-				}
-				if blockCap > histMaxBlock {
-					blockCap = histMaxBlock
-				}
-				merged = make([]int64, blockCap*m.Stride)
-				ln.AddN(0, trace.PhaseBin, time.Since(t0), 0)
+			t0 := time.Now()
+			n := int(l.n)
+			if cap(sc.rows) < n {
+				sc.rows = make([]uint32, n)
 			}
-			binFailed = ferr.Failed()
+			nl := m.PartitionStable(l.win.Attr, h.idx, l.rowLo, l.rowLo+n, l.histLeft, sc.rows[:n])
+			if int64(nl) != l.win.NLeft {
+				ferr.Set(fmt.Errorf("core: hist partition on attr %d produced %d left rows, candidate promised %d",
+					l.win.Attr, nl, l.win.NLeft))
+			}
+			l.histLeft = nil
+			ln.Add(lvl, trace.PhaseSplit, time.Since(t0))
 		}
-		if !bar.TimedWait(ln, 0) {
-			return
-		}
-		// Unwind on the master's barrier-synchronized snapshot of the bin
-		// phase, not on live ferr: a fast peer may already be in the level
-		// loop and latch a later error, and reading ferr here would let a
-		// slow worker exit while the others wait at a block barrier.
-		if binFailed {
-			return
-		}
-		sc.arena = make([]int64, blockCap*m.Stride)
-
-		for {
-			// lvl is this iteration's level, captured while the master's
-			// level++ is still a barrier away.
-			lvl := level
-			nblocks := (len(frontier) + blockCap - 1) / blockCap
-			for blk := 0; blk < nblocks; blk++ {
-				bhi := (blk + 1) * blockCap
-				if bhi > len(frontier) {
-					bhi = len(frontier)
-				}
-				block := frontier[blk*blockCap : bhi]
-
-				// E-local: accumulate this worker's contiguous row share of
-				// every leaf in the block into the private arena.
-				if !ferr.Failed() && hook("accum", id) {
-					t0 := time.Now()
-					var units int64
-					for li, l := range block {
-						if err := e.cancelled(); err != nil {
-							ferr.Set(err)
-							break
-						}
-						cell := sc.arena[li*m.Stride : (li+1)*m.Stride]
-						zeroInt64(cell, m.Stride)
-						lo := l.rowLo + id*int(l.n)/P
-						hi := l.rowLo + (id+1)*int(l.n)/P
-						if lo >= hi {
-							continue
-						}
-						for a := 0; a < e.nattr; a++ {
-							m.Accumulate(m.Cell(cell, a), a, idx, lo, hi)
-						}
-						units += int64(e.nattr)
-					}
-					ln.AddN(lvl, trace.PhaseEval, time.Since(t0), units)
-				}
-				if !bar.TimedWait(ln, lvl) {
-					return
-				}
-
-				// E-merge: grab attributes, sum the workers' local
-				// histograms and search each leaf's best split for the
-				// grabbed attribute. Attribute slices of merged and of
-				// l.cands are disjoint across workers.
-				for !ferr.Failed() {
-					a := int(aCtr.Add(1) - 1)
-					if a >= e.nattr {
-						break
-					}
-					if err := e.cancelled(); err != nil {
-						ferr.Set(err)
-						break
-					}
-					if !hook("merge", id) {
-						break
-					}
-					t0 := time.Now()
-					for li, l := range block {
-						base := li * m.Stride
-						dst := m.Cell(merged[base:base+m.Stride], a)
-						copy(dst, m.Cell(scs[0].arena[base:base+m.Stride], a))
-						for w := 1; w < P; w++ {
-							src := m.Cell(scs[w].arena[base:base+m.Stride], a)
-							for i := range dst {
-								dst[i] += src[i]
-							}
-						}
-						l.cands[a] = e.histBestSplit(m, a, dst, l, sc)
-					}
-					ln.AddN(lvl, trace.PhaseEval, time.Since(t0), int64(len(block)))
-				}
-				if !bar.TimedWait(ln, lvl) {
-					return
-				}
-
-				// W: the master votes winners, attaches children and queues
-				// the next frontier; peers wait at the barrier (as in
-				// BASIC). Child class histograms come from the winning
-				// attribute's merged histogram — no data scan.
-				if id == 0 && !ferr.Failed() {
-					for li, l := range block {
-						if !hook("winner", id) {
-							break
-						}
-						t0 := time.Now()
-						if err := e.histWinner(m, l, merged[li*m.Stride:(li+1)*m.Stride]); err != nil {
-							ferr.Set(err)
-							break
-						}
-						if l.didSplit {
-							for _, c := range l.children {
-								if !c.terminal {
-									next = append(next, childLeafState(c, blk*blockCap+li, e.nattr))
-								}
-							}
-						}
-						l.cands = nil
-						ln.Add(lvl, trace.PhaseWinner, time.Since(t0))
-					}
-					aCtr.Store(0)
-					lCtr.Store(0)
-				}
-				if !bar.TimedWait(ln, lvl) {
-					return
-				}
-
-				// S: grab leaves and stably partition each split leaf's
-				// row-index range in place. A split whose children are both
-				// terminal needs no partition: nothing reads those rows
-				// again.
-				for !ferr.Failed() {
-					li := int(lCtr.Add(1) - 1)
-					if li >= len(block) {
-						break
-					}
-					l := block[li]
-					if !l.didSplit || (l.children[0].terminal && l.children[1].terminal) {
-						continue
-					}
-					if err := e.cancelled(); err != nil {
-						ferr.Set(err)
-						break
-					}
-					if !hook("split", id) {
-						break
-					}
-					t0 := time.Now()
-					n := int(l.n)
-					if cap(sc.buf) < n {
-						sc.buf = make([]uint32, n)
-					}
-					nl := m.PartitionStable(l.win.Attr, idx, l.rowLo, l.rowLo+n, l.histLeft, sc.buf[:n])
-					if int64(nl) != l.win.NLeft {
-						ferr.Set(fmt.Errorf("core: hist partition on attr %d produced %d left rows, candidate promised %d",
-							l.win.Attr, nl, l.win.NLeft))
-					}
-					l.histLeft = nil
-					ln.Add(lvl, trace.PhaseSplit, time.Since(t0))
-				}
-				if !bar.TimedWait(ln, lvl) {
-					return
-				}
-			}
-
-			// Level bookkeeping by the master.
-			if id == 0 {
-				if ferr.Failed() {
-					next = nil
-				}
-				frontier = next
-				next = nil
-				level++
-				done = len(frontier) == 0
-			}
-			if !bar.TimedWait(ln, lvl) {
-				return
-			}
-			if done {
-				return
-			}
+		if !g.bar.TimedWait(ln, lvl) {
+			return false
 		}
 	}
-
-	// A panicking worker can never rejoin the barrier protocol; breaking the
-	// barrier releases every surviving peer.
-	return sched.Spawn(P, ferr, bar.Abort, worker)
+	return true
 }
 
 // histBestSplit searches attribute a's merged histogram for leaf l's best
 // split: bin boundaries for continuous attributes, SPRINT's subset search
 // (fed pre-aggregated counts) for categorical ones.
-func (e *engine) histBestSplit(m *hist.Matrix, a int, counts []int64, l *leafState, sc *histScratch) split.Candidate {
+func (e *engine) histBestSplit(m *hist.Matrix, a int, counts []int64, l *leafState, sc *scratch) split.Candidate {
 	if e.cfg.AttrMask != nil && !e.cfg.AttrMask[a] {
 		// Feature-subsampled builds never split on a masked attribute.
 		return split.Candidate{}

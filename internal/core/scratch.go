@@ -4,13 +4,15 @@ import (
 	"sync/atomic"
 
 	"repro/internal/alist"
+	"repro/internal/hist"
 	"repro/internal/probe"
 	"repro/internal/split"
 )
 
 // scratch is a per-worker arena threaded through every E/W/S work unit. It
 // owns the split evaluators, the two child appenders, the probe write batch,
-// the file-store scan buffers, and the scan callbacks themselves, so that
+// the file-store scan buffers, HIST's boundary search and partition
+// staging, and the scan callbacks themselves, so that
 // after the first few levels a work unit touches the allocator zero times:
 // evaluator histograms, appender buffers and IO buffers are all reused, and
 // the callbacks are built once per worker (a closure built per scan would
@@ -35,15 +37,19 @@ type scratch struct {
 	io    alist.IOBuf   // file-store scan staging
 	below []int64       // record-parallel prefix histogram
 
+	cs   hist.ContSearch // HIST continuous boundary search
+	rows []uint32        // HIST stable-partition staging
+
 	contScan  func([]alist.Record) error
 	catScan   func([]alist.Record) error
 	splitScan func([]alist.Record) error
 }
 
-// newScratch builds a worker's arena.
+// newScratch builds a worker's arena; only a build with global-bit probes
+// gets a probe write batch.
 func (e *engine) newScratch() *scratch {
 	sc := &scratch{}
-	if e.cfg.Probe == probe.GlobalBit {
+	if e.probes != nil && e.probes.Kind() == probe.GlobalBit {
 		sc.wb = probe.NewWBatch(e.ntuples)
 	}
 	sc.contScan = func(recs []alist.Record) error {

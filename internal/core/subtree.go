@@ -155,13 +155,12 @@ func (e *engine) runSubtree(root *leafState) error {
 func (e *engine) subtreeMember(g *group, w int, ln *trace.Lane, sc *scratch,
 	pool *slotPool, fq *sched.FreeQueue[*group], chans []chan *group, bs *sched.BarrierSet) {
 
-	isMaster := w == g.workers[0]
-	if !e.runLevel(g, isMaster, ln, sc) {
+	if !e.runLevel(g, w, ln, sc) {
 		// Build aborted by a dead worker's teardown; the caller's loop
 		// exits through the queue's abort channel.
 		return
 	}
-	if !isMaster {
+	if w != g.workers[0] {
 		return // sleep until reassigned (or terminated) via the channel
 	}
 
