@@ -300,9 +300,6 @@ func (e *engine) histBestSplit(m *hist.Matrix, a int, counts []int64, l *leafSta
 // child class histograms from the winning attribute's merged histogram and
 // attach child nodes.
 func (e *engine) histWinner(m *hist.Matrix, l *leafState, arena []int64) error {
-	if err := e.cancelled(); err != nil {
-		return err
-	}
 	if !e.vote(l) {
 		return nil // leaf stays a leaf (no usable split)
 	}
