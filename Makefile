@@ -30,14 +30,16 @@ test:
 
 # Zero-allocation gates for the scratch-arena hot paths: the E/W/S work
 # units (internal/core/alloc_test.go), the setup pre-sort with caller
-# scratch, the histogram engine, and the pooled single-row PredictValues
-# on a Model and a Forest (-count=1 so a cached pass can't mask a
-# regression introduced by a dependency).
+# scratch, the histogram engine, the pooled single-row PredictValues
+# on a Model and a Forest, and the bulk predict body read and decode
+# (-count=1 so a cached pass can't mask a regression introduced by a
+# dependency).
 alloc-check:
 	$(GO) test -count=1 -run 'TestSortAllocationBudget' ./internal/alist/
 	$(GO) test -count=1 -run 'TestWorkUnitAllocationBudget' ./internal/core/
 	$(GO) test -count=1 -run 'TestHistWorkUnitAllocationBudget' ./internal/hist/
 	$(GO) test -count=1 -run 'TestPredictValuesAllocationBudget' .
+	$(GO) test -count=1 -run 'TestRequestDecodeAllocationBudget' ./internal/serve/
 
 race:
 	$(GO) test -race . ./internal/serve/... ./internal/flat/... ./internal/alist/... ./internal/core/... ./internal/sched/... ./internal/trace/... ./internal/hist/... ./internal/cluster/... ./internal/loadtest/...
@@ -70,11 +72,14 @@ cluster-soak:
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# Native fuzzing, outside verify: the model reader and the CSV loaders, each
-# for FUZZTIME (tier-1 `go test` already runs their seeds).
+# Native fuzzing, outside verify: the model reader, the CSV loaders and the
+# predict/ingest body decoder against encoding/json, each for FUZZTIME
+# (tier-1 `go test` already runs their seeds).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 
 # The build-phase observability sweep: real instrumented builds over the
 # paper's F1/F7 pair plus the forest build/serve rows, written to the

@@ -24,6 +24,7 @@ import (
 	parclass "repro"
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -103,16 +104,11 @@ func main() {
 // measureBuilds trains every scheme for real on the spec and prints each
 // run's measured per-worker phase table.
 func measureBuilds(spec string, procs int) error {
-	d, err := bench.ParseSpec(spec)
+	tbl, err := specTable(spec)
 	if err != nil {
 		return err
 	}
-	ds, err := parclass.Synthetic(parclass.SyntheticConfig{
-		Function: d.Function, Attrs: d.Attrs, Tuples: d.Tuples, Seed: d.Seed,
-	})
-	if err != nil {
-		return err
-	}
+	ds := parclass.DatasetFromTable(tbl)
 	fmt.Printf("measured builds on %s:\n", spec)
 	for _, alg := range []parclass.Algorithm{
 		parclass.Serial, parclass.Basic, parclass.FWK, parclass.MWK, parclass.Subtree,
@@ -141,14 +137,7 @@ func loadTrace(path, spec string) (*trace.Trace, error) {
 	case path != "":
 		return trace.ReadFile(path)
 	case spec != "":
-		ds, err := bench.ParseSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		tbl, err := synth.Generate(synth.Config{
-			Function: ds.Function, Attrs: ds.Attrs, Tuples: ds.Tuples,
-			Seed: ds.Seed, Perturbation: 0.05,
-		})
+		tbl, err := specTable(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -160,4 +149,18 @@ func loadTrace(path, spec string) (*trace.Trace, error) {
 	default:
 		return nil, fmt.Errorf("need -trace or -synthetic")
 	}
+}
+
+// specTable generates the table a -synthetic spec names, for both modes:
+// the paper-style dataset at perturbation 0.05, so the simulated schemes
+// and the measured builds grow the same tree.
+func specTable(spec string) (*dataset.Table, error) {
+	d, err := bench.ParseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return synth.Generate(synth.Config{
+		Function: d.Function, Attrs: d.Attrs, Tuples: d.Tuples,
+		Seed: d.Seed, Perturbation: 0.05,
+	})
 }

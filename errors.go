@@ -13,8 +13,8 @@ var (
 	// attribute, or a positional row of the wrong width.
 	ErrUnknownAttribute = errors.New("parclass: unknown attribute")
 	// ErrUnknownValue marks an attribute value that cannot be decoded: an
-	// unparseable number for a continuous attribute or a category name the
-	// training schema never saw.
+	// unparseable number or NaN for a continuous attribute, or a category
+	// name the training schema never saw.
 	ErrUnknownValue = errors.New("parclass: unknown value")
 	// ErrBadOption marks an Options combination rejected by Validate.
 	ErrBadOption = errors.New("parclass: bad option")

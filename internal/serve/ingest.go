@@ -138,6 +138,7 @@ type ingestRow struct {
 
 // ingestRequest is the POST /v1/ingest body: either one row
 // ("values" + "class") or a batch ("rows"), plus an optional model name.
+// As with predictRequest, the json tags name the keys decodeIngest matches.
 type ingestRequest struct {
 	Model  string      `json:"model,omitempty"`
 	Values []string    `json:"values,omitempty"`
@@ -170,8 +171,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, rs, http.StatusServiceUnavailable, "ingest not enabled on this server")
 		return
 	}
+	body, ok := s.readBody(w, r, rs)
+	if !ok {
+		return
+	}
 	var req ingestRequest
-	if !decodeBody(w, r, rs, s.predictMaxBytes(), &req) {
+	if err := decodeIngest(body, &req); err != nil {
+		writeErr(w, rs, http.StatusBadRequest, "%v", err)
 		return
 	}
 	single := len(req.Values) > 0

@@ -326,7 +326,9 @@ func writeErr(w http.ResponseWriter, rs *routeStats, code int, format string, ar
 // wire) or ValuesRows (batch positional), plus an optional model name.
 // NoBatch opts this one request out of server-side micro-batching: it runs
 // inline instead of joining the coalescing queue (useful for latency-
-// sensitive probes while bulk traffic batches).
+// sensitive probes while bulk traffic batches). The json tags name the
+// wire keys decodePredict matches; FuzzPredictRequest holds the two to
+// agreeing.
 type predictRequest struct {
 	Model      string              `json:"model,omitempty"`
 	Row        map[string]string   `json:"row,omitempty"`
@@ -352,37 +354,17 @@ type predictResponse struct {
 	ElapsedUS int64 `json:"elapsed_us"`
 }
 
-// decodeBody decodes exactly one JSON document from r's body under cap
-// bytes into v, answering 413 on an oversized body (http.MaxBytesError)
-// and 400 on malformed JSON or trailing garbage after the document, and
-// reports whether the caller may proceed.
-func decodeBody(w http.ResponseWriter, r *http.Request, rs *routeStats, cap int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, cap))
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeErr(w, rs, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
-		writeErr(w, rs, http.StatusBadRequest, "decoding request: %v", err)
-		return false
-	}
-	// The second Decode must hit io.EOF: `{"rows":[...]}{"junk":1}` is a
-	// malformed request, not a request plus ignorable noise.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		writeErr(w, rs, http.StatusBadRequest, "trailing data after JSON body")
-		return false
-	}
-	return true
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	rs := &s.met.predict
 	rs.requests.Add(1)
 	start := time.Now()
+	body, ok := s.readBody(w, r, rs)
+	if !ok {
+		return
+	}
 	var req predictRequest
-	if !decodeBody(w, r, rs, s.predictMaxBytes(), &req) {
+	if err := decodePredict(body, &req); err != nil {
+		writeErr(w, rs, http.StatusBadRequest, "%v", err)
 		return
 	}
 	forms := 0

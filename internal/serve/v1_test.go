@@ -136,6 +136,13 @@ func TestPredictValuesRoute(t *testing.T) {
 		t.Fatalf("level_sync changed predictions: %v vs %v", legacy.Predictions, batch.Predictions)
 	}
 
+	// A NaN value → 422 naming its row: no threshold orders NaN.
+	nan := sampleRow("25")
+	nan["salary"] = "NaN"
+	nanBody, _ := json.Marshal(predictRequest{Rows: []map[string]string{sampleRow("25"), nan}})
+	if code, doc := postRaw(t, ts.URL+"/v1/predict", string(nanBody)); code != 422 || !strings.HasPrefix(doc["error"], "row 1: ") {
+		t.Fatalf("NaN value status %d body %v, want 422 for row 1", code, doc)
+	}
 	// Wrong width → 422.
 	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Values: []string{"1", "2"}}, nil); code != 422 {
 		t.Fatalf("short values status %d, want 422", code)

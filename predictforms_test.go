@@ -148,6 +148,7 @@ func TestPredictFormsEquivalent(t *testing.T) {
 		{"missing attribute", withNamed("age", ""), nil, ErrUnknownAttribute},
 		{"unknown category", withNamed("car", "spaceship"), withValue("car", "spaceship"), ErrUnknownValue},
 		{"unparsable float", withNamed("salary", "not-a-number"), withValue("salary", "not-a-number"), ErrUnknownValue},
+		{"NaN", withNamed("salary", "NaN"), withValue("salary", "NaN"), ErrUnknownValue},
 	}
 	const first, second = 37, 450 // two failing rows in different shards
 	for _, b := range bad {
@@ -182,6 +183,15 @@ func TestPredictFormsEquivalent(t *testing.T) {
 				batch[first], batch[second] = b.values, b.values
 				_, err = sh.p.PredictValuesBatch(batch)
 				check(sh.name, "PredictValuesBatch", err, prefix)
+			}
+		}
+	}
+
+	// ±Inf are ordered, so they route like extreme values rather than fail.
+	for _, inf := range []string{"+Inf", "-Inf"} {
+		for _, sh := range shapes {
+			if _, err := sh.p.PredictValues(withValue("salary", inf)); err != nil {
+				t.Fatalf("%s: salary %s: %v", sh.name, inf, err)
 			}
 		}
 	}

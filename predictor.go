@@ -3,6 +3,7 @@ package parclass
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -381,6 +382,12 @@ func (d *rowDecoder) decodeValue(a int, raw string, tu dataset.Tuple) error {
 			if v, err = strconv.ParseFloat(strings.TrimSpace(raw), 64); err != nil {
 				return fmt.Errorf("%w: attribute %q: %v", ErrUnknownValue, attr.Name, err)
 			}
+		}
+		// NaN compares false against every threshold, so the walk would
+		// send it right at each node; ±Inf are ordered and route like
+		// extreme values.
+		if math.IsNaN(v) {
+			return fmt.Errorf("%w: attribute %q: NaN is not a value", ErrUnknownValue, attr.Name)
 		}
 		tu.Cont[a] = v
 		return nil
