@@ -72,14 +72,16 @@ cluster-soak:
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# Native fuzzing, outside verify: the model reader, the CSV loaders and the
-# predict/ingest body decoder against encoding/json, each for FUZZTIME
-# (tier-1 `go test` already runs their seeds).
+# Native fuzzing, outside verify: the model reader, the CSV loaders, the
+# predict/ingest body decoder against encoding/json and the cluster's
+# version-vector wire form, each for FUZZTIME (tier-1 `go test` already
+# runs their seeds).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseVersion$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 # The build-phase observability sweep: real instrumented builds over the
 # paper's F1/F7 pair plus the forest build/serve rows, written to the

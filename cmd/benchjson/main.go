@@ -97,7 +97,7 @@ type serveRun struct {
 	Concurrency int     `json:"concurrency,omitempty"`  // closed loop
 	ArrivalRate float64 `json:"arrival_rate,omitempty"` // open loop, req/s
 	BatchPerReq int     `json:"batch_per_request"`
-	QueueDepth  int     `json:"queue_depth,omitempty"` // admission queue cap (batched modes)
+	QueueDepth  int     `json:"queue_depth,omitempty"` // in-flight cap (batched modes)
 	RowsPerSec  float64 `json:"rows_per_sec"`
 	ReqPerSec   float64 `json:"req_per_sec"`
 	P50US       int64   `json:"p50_us"`
@@ -400,7 +400,7 @@ func measure(ds *parclass.Dataset, spec string, alg parclass.Algorithm, procs in
 
 // measureForest trains an n-tree forest and measures the fused batch-vote
 // serve rate: positional string rows through Forest.PredictValuesBatch,
-// the same path the server's micro-batcher dispatches into.
+// the same path the server's "values_rows" form calls.
 func measureForest(ds *parclass.Dataset, spec string, n int, seed int64) (run, error) {
 	start := time.Now()
 	f, err := parclass.TrainForest(ds, parclass.Options{
@@ -620,10 +620,12 @@ func compareClusterRuns(oldRep, newRep *report) {
 // serveBench is `-serve` mode: it trains one model over spec, serves it
 // in-process (httptest, so no port or separate process), and drives it with
 // internal/loadtest — the same engine as cmd/loadgen — in three
-// configurations: inline (micro-batching disabled), batched (server-side
-// coalescing on), and batched-overload (open loop driven past the batched
-// capacity, so the admission queue's shedding is measurable). The rows
-// append to the report at outPath as "serve_runs", next to the build sweep.
+// configurations: inline (admission control off), batched (admission
+// control on: the in-flight cap of EnableBatching; the server no longer
+// coalesces requests, so the mode keeps its old name only), and
+// batched-overload (open loop driven past the batched capacity, so the
+// cap's shedding is measurable). The rows append to the report at outPath
+// as "serve_runs", next to the build sweep.
 func serveBench(outPath, spec string, seed int64, dur time.Duration, conc, batch int) error {
 	ds, err := loadDataset(spec, seed)
 	if err != nil {
@@ -713,11 +715,10 @@ func serveBench(outPath, spec string, seed int64, dur time.Duration, conc, batch
 		fmtServeRate(batchedRun.ReqPerSec), time.Duration(batchedRun.P99US)*time.Microsecond)
 
 	// Overload: open loop at twice the measured batched capacity. The point
-	// is not throughput — it's that the admission queue sheds the excess
-	// with 429 instead of queueing without bound. Queue depth is kept small
-	// here so admission is the binding constraint even when request parsing
-	// and dispatching share few cores (on a 1-CPU host the default 256-deep
-	// queue never fills: arrival at the queue is itself CPU-limited).
+	// is not throughput but the shed rate: whether the in-flight cap turns
+	// the excess into 429s, or the backlog waits in front of the handlers
+	// where the cap does not count it. The cap is kept small (16) so it is
+	// the first limit the traffic can reach.
 	overloadRate := 2 * batchedRun.ReqPerSec
 	if overloadRate < 100 {
 		overloadRate = 100
@@ -730,8 +731,8 @@ func serveBench(outPath, spec string, seed int64, dur time.Duration, conc, batch
 	log.Printf("%-17s %s rows/s ok, %.1f%% shed at %.0f req/s offered", "batched-overload",
 		fmtServeRate(overload.RowsPerSec), 100*overload.ShedRate, overloadRate)
 
-	// A 25-member forest through the full serve stack at the
-	// micro-batcher's window size.
+	// A 25-member forest through the full serve stack, 256 rows per
+	// request.
 	forest, err := parclass.TrainForest(ds, parclass.Options{Trees: 25, ForestSeed: seed})
 	if err != nil {
 		return fmt.Errorf("training %s forest: %w", spec, err)

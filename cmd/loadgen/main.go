@@ -17,7 +17,6 @@
 //	loadgen -url http://localhost:8080 -concurrency 8 -batch 64 -duration 10s
 //	loadgen -positional -batch 16                      # the server's fast path
 //	loadgen -arrival 2000 -batch 16 -duration 10s      # open loop, 2000 req/s
-//	loadgen -no-batch                                  # opt out of micro-batching
 //	loadgen -urls http://h1:8081,http://h2:8082        # fleet mode: consistent-hash
 //	                                                   # routing + per-node backpressure
 //
@@ -57,8 +56,6 @@ func main() {
 			"send positional values/values_rows instead of name→value maps (the server's fast path)")
 		arrival = flag.Float64("arrival", 0,
 			"open-loop arrival rate in requests/second (0 = closed loop); past server capacity this measures shedding")
-		noBatch = flag.Bool("no-batch", false,
-			`set "no_batch" on every request so the server skips micro-batch coalescing`)
 		drift = flag.Bool("drift", false,
 			"stream a drifting labeled feed into /v1/ingest and measure the retrain loop's time-to-recover (see -drift-* flags)")
 		driftFn   = flag.Int("drift-fn", 1, "classification function labeling rows before the flip")
@@ -88,7 +85,6 @@ func main() {
 		Concurrency: *concurrency,
 		Batch:       *batch,
 		Positional:  *positional,
-		NoBatch:     *noBatch,
 		Duration:    *duration,
 		Requests:    *requests,
 		ArrivalRate: *arrival,

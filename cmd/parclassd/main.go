@@ -17,11 +17,10 @@
 // carries a "build" section with the run's per-phase breakdown — live
 // while -background-train is still growing the tree.
 //
-// Predict requests are micro-batched by default: concurrent requests
-// coalesce (-batch-rows rows / -batch-linger window) into single sharded
-// flat-tree walks behind a bounded admission queue (-queue-depth) that
-// sheds overload with 429 + Retry-After; -batch-rows 0 disables it. The
-// predict body cap is -predict-max-bytes (413 past it).
+// Every predict request runs inline on its own handler goroutine behind
+// an admission cap: at most -queue-depth predicts run at once, and the
+// rest are shed with 429 + Retry-After; -queue-depth 0 disables the cap.
+// The predict body cap is -predict-max-bytes (413 past it).
 //
 // Cluster mode turns a set of parclassd processes into a replicated
 // serving fleet: give each node a stable -node-id and its peers' URLs in
@@ -82,12 +81,8 @@ func main() {
 		sampleFrac  = flag.Float64("sample-frac", 0, "bootstrap sample fraction per tree (0 = classic bootstrap)")
 		featureFrac = flag.Float64("feature-frac", 0, "attribute subsample fraction per tree (0 = all attributes)")
 		forestSeed  = flag.Int64("forest-seed", 0, "forest bootstrap/feature RNG seed")
-		batchRows   = flag.Int("batch-rows", serve.DefaultBatchMaxRows,
-			"micro-batcher window: flush after this many coalesced rows (0 disables server-side batching)")
-		batchLinger = flag.Duration("batch-linger", serve.DefaultBatchLinger,
-			"micro-batcher window: flush this long after the first queued request")
-		queueDepth = flag.Int("queue-depth", serve.DefaultBatchQueueDepth,
-			"predict admission queue capacity in requests; a full queue sheds with 429 + Retry-After")
+		queueDepth  = flag.Int("queue-depth", serve.DefaultBatchQueueDepth,
+			"cap on predict requests in flight; past it requests shed with 429 + Retry-After (0 disables the cap)")
 		predictMaxBytes = flag.Int64("predict-max-bytes", serve.DefaultPredictMaxBytes,
 			"POST /v1/predict body cap in bytes (oversized bodies answer 413)")
 		ingestWindow = flag.Int("ingest-window", serve.DefaultIngestWindow,
@@ -151,22 +146,17 @@ func main() {
 			ID: *nodeID, Self: self, Peers: peerList, Interval: *antiEntropy,
 		}, s)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("bad -node-id: %v", err)
 		}
 		node = n
 		log.Printf("cluster: node %q at %s, %d peers, anti-entropy every %v",
 			*nodeID, self, len(peerList), *antiEntropy)
 	}
-	if *batchRows > 0 {
-		if err := s.EnableBatching(serve.BatchConfig{
-			MaxRows:    *batchRows,
-			Linger:     *batchLinger,
-			QueueDepth: *queueDepth,
-		}); err != nil {
+	if *queueDepth > 0 {
+		if err := s.EnableBatching(serve.BatchConfig{QueueDepth: *queueDepth}); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("micro-batching: up to %d rows per dispatch, %v linger, queue depth %d",
-			*batchRows, *batchLinger, *queueDepth)
+		log.Printf("admission control: at most %d predicts in flight", *queueDepth)
 	}
 
 	var stopRetrain func()
@@ -268,8 +258,8 @@ func main() {
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
-	// Stop the anti-entropy loop, the retrain loop and the micro-batcher's
-	// dispatcher after the listener drains.
+	// Stop the anti-entropy loop and the retrain loop, and lift the
+	// admission cap, after the listener drains.
 	if stopSync != nil {
 		stopSync()
 	}

@@ -30,7 +30,9 @@ type Config struct {
 	// ID is this node's stable identity — the version-vector axis it bumps
 	// on local publishes. Must be unique across the fleet and survive
 	// restarts (reusing an ID after losing its replica store is fine: the
-	// node re-converges by anti-entropy before publishing again).
+	// node re-converges by anti-entropy before publishing again). It must
+	// survive the version vector's wire form, so New rejects an ID holding
+	// ',', '=', whitespace, a control character or invalid UTF-8.
 	ID string
 	// Self is this node's advertised base URL, echoed in /v1/cluster.
 	Self string
@@ -94,8 +96,8 @@ type Node struct {
 // update, so an artifact crosses each link once instead of echoing
 // forever.
 func New(cfg Config, srv *serve.Server) (*Node, error) {
-	if cfg.ID == "" {
-		return nil, fmt.Errorf("cluster: node ID required")
+	if err := checkNodeID(cfg.ID); err != nil {
+		return nil, fmt.Errorf("cluster: node ID %q %v", cfg.ID, err)
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval

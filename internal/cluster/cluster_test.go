@@ -180,9 +180,54 @@ func TestVersionVector(t *testing.T) {
 	if a.String() != "a=2,b=1" {
 		t.Errorf("bump mutated receiver: %q", a)
 	}
-	for _, bad := range []string{"a", "a=", "=1", "a=x", "a=1,,b=2"} {
+	for _, bad := range []string{
+		"a", "a=", "=1", "a=x", "a=1,,b=2",
+		"a=1,a=2", "a=1,b=1,a=1", // duplicate axes: no silent last-wins
+		"a b=1", "a\x00=1", "\xff=1", // node IDs New rejects
+	} {
 		if _, err := ParseVersion(bad); err == nil {
 			t.Errorf("ParseVersion(%q) accepted", bad)
+		}
+	}
+}
+
+// TestNodeIDMustRoundTrip pins which node IDs New accepts: exactly those
+// whose version-vector entry survives String and ParseVersion unchanged.
+// An ID holding the wire form's separators, whitespace or a control
+// character used to be accepted and then broke every pull of an artifact
+// the node published ("a,b" came back as a parse error, " sp" as "sp").
+func TestNodeIDMustRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		id string
+		ok bool
+	}{
+		{"a", true},
+		{"node-1", true},
+		{"eu.west:8081", true},
+		{"ñodo", true},
+		{"", false},
+		{"a,b", false},
+		{"n=1", false},
+		{" sp", false},
+		{"sp ", false},
+		{"a b", false},
+		{"a\tb", false},
+		{"a\x00", false},
+		{"a\u0085", false}, // NEL: Unicode whitespace that TrimSpace strips
+		{"\xff", false},
+	} {
+		_, err := New(Config{ID: tc.id}, serve.New(""))
+		if (err == nil) != tc.ok {
+			t.Errorf("New(ID %q) error %v, want accepted=%v", tc.id, err, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			continue
+		}
+		v := Version{tc.id: 3, "z": 1}
+		got, err := ParseVersion(v.String())
+		if err != nil || got.String() != v.String() || len(got) != 2 || got[tc.id] != 3 {
+			t.Errorf("ID %q: %q parsed back as %v (%v)", tc.id, v.String(), got, err)
 		}
 	}
 }

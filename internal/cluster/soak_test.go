@@ -64,7 +64,7 @@ func (sn *soakNode) start(t testing.TB, boot *parclass.Model) {
 	if err := n.Seed("default", boot); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EnableBatching(serve.BatchConfig{MaxRows: 64, Linger: 2 * time.Millisecond, QueueDepth: 64}); err != nil {
+	if err := s.EnableBatching(serve.BatchConfig{QueueDepth: 64}); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", sn.addr)

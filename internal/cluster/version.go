@@ -12,10 +12,13 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Version is a version vector: per-node update counters for one model
@@ -133,8 +136,29 @@ func (v Version) String() string {
 	return b.String()
 }
 
+// checkNodeID reports why id cannot be a version-vector axis, or nil.
+// String writes IDs unescaped, so an ID must not hold the entry or counter
+// separator, whitespace (ParseVersion trims it), a control character or
+// invalid UTF-8 (the JSON digest replaces it): any of these would come
+// back from a round trip as a parse error or as a different ID.
+func checkNodeID(id string) error {
+	if id == "" {
+		return errors.New("is empty")
+	}
+	if !utf8.ValidString(id) {
+		return errors.New("is not valid UTF-8")
+	}
+	for _, r := range id {
+		if r == ',' || r == '=' || unicode.IsSpace(r) || unicode.IsControl(r) {
+			return fmt.Errorf("contains %q", r)
+		}
+	}
+	return nil
+}
+
 // ParseVersion parses the wire form produced by String. The empty string
-// is the zero vector.
+// is the zero vector. An entry whose node is not a valid node ID, or a
+// node named twice, is an error.
 func ParseVersion(s string) (Version, error) {
 	v := Version{}
 	if s = strings.TrimSpace(s); s == "" {
@@ -142,8 +166,14 @@ func ParseVersion(s string) (Version, error) {
 	}
 	for _, part := range strings.Split(s, ",") {
 		node, cnt, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || node == "" {
+		if !ok {
 			return nil, fmt.Errorf("cluster: bad version entry %q", part)
+		}
+		if err := checkNodeID(node); err != nil {
+			return nil, fmt.Errorf("cluster: bad version entry %q: node %v", part, err)
+		}
+		if _, dup := v[node]; dup {
+			return nil, fmt.Errorf("cluster: duplicate version axis %q", node)
 		}
 		c, err := strconv.ParseUint(cnt, 10, 64)
 		if err != nil {

@@ -40,7 +40,6 @@ type Config struct {
 	Concurrency int  // closed-loop workers (default 4)
 	Batch       int  // rows per request; <= 1 sends single-row forms
 	Positional  bool // send values/values_rows instead of name→value maps
-	NoBatch     bool // set "no_batch" so the server skips micro-batching
 
 	Duration time.Duration // run length (default 10s)
 	Requests int           // exact request budget; overrides Duration when > 0
@@ -188,12 +187,11 @@ type predictRequest struct {
 	Rows       []map[string]string `json:"rows,omitempty"`
 	Values     []string            `json:"values,omitempty"`
 	ValuesRows [][]string          `json:"values_rows,omitempty"`
-	NoBatch    bool                `json:"no_batch,omitempty"`
 }
 
 // body builds one request body per cfg's form.
 func body(cfg *Config, rng *rand.Rand, info *ModelSchema) []byte {
-	req := predictRequest{Model: cfg.Model, NoBatch: cfg.NoBatch}
+	req := predictRequest{Model: cfg.Model}
 	switch {
 	case cfg.Positional && cfg.Batch <= 1:
 		req.Values = RandomValues(rng, info)

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -99,20 +101,31 @@ func TestTrailingGarbageRejected(t *testing.T) {
 	}
 }
 
-// enableBatching turns the micro-batcher on for a test server and stops it
-// at cleanup.
-func enableBatching(t testing.TB, s *Server, cfg BatchConfig) *batcher {
+// enableBatching turns admission control on for a test server and turns it
+// off at cleanup.
+func enableBatching(t testing.TB, s *Server, cfg BatchConfig) *admission {
 	t.Helper()
 	if err := s.EnableBatching(cfg); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	return s.batch.Load()
+	return s.adm.Load()
+}
+
+// parkAdmitted makes every admitted predict on a announce itself on the
+// returned channel and then wait until open is called, so a test can hold
+// exactly as many requests in flight as it sends.
+func parkAdmitted(a *admission) (entered <-chan struct{}, open func()) {
+	in := make(chan struct{}, 64)
+	gate := make(chan struct{})
+	a.admitted = func() { in <- struct{}{}; <-gate }
+	var once sync.Once
+	return in, func() { once.Do(func() { close(gate) }) }
 }
 
 // TestBatchedPredictMatchesInline drives every request form through the
-// micro-batcher and checks predictions and error attribution are identical
-// to the inline path.
+// admission-controlled path and checks predictions and error attribution
+// are identical to calling the model directly.
 func TestBatchedPredictMatchesInline(t *testing.T) {
 	m := trainModel(t, 1, 2000)
 	s, ts := newTestServer(t, m)
@@ -121,24 +134,24 @@ func TestBatchedPredictMatchesInline(t *testing.T) {
 	// Single row form.
 	var single predictResponse
 	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Row: sampleRow("25")}, &single); code != 200 {
-		t.Fatalf("batched single status %d", code)
+		t.Fatalf("admitted single status %d", code)
 	}
 	want, err := m.Predict(sampleRow("25"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if single.Prediction != want || single.Rows != 1 {
-		t.Fatalf("batched single = %+v, want %q", single, want)
+		t.Fatalf("admitted single = %+v, want %q", single, want)
 	}
 
 	// Positional batch form.
 	vrows := [][]string{sampleValues(m, "25"), sampleValues(m, "50"), sampleValues(m, "70")}
 	var batch predictResponse
 	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{ValuesRows: vrows}, &batch); code != 200 {
-		t.Fatalf("batched values_rows status %d", code)
+		t.Fatalf("admitted values_rows status %d", code)
 	}
 	if batch.Rows != 3 || len(batch.Predictions) != 3 {
-		t.Fatalf("batched values_rows = %+v", batch)
+		t.Fatalf("admitted values_rows = %+v", batch)
 	}
 	for i, vals := range vrows {
 		w, err := m.PredictValues(vals)
@@ -146,17 +159,17 @@ func TestBatchedPredictMatchesInline(t *testing.T) {
 			t.Fatal(err)
 		}
 		if batch.Predictions[i] != w {
-			t.Fatalf("row %d: batched %q, direct %q", i, batch.Predictions[i], w)
+			t.Fatalf("row %d: served %q, direct %q", i, batch.Predictions[i], w)
 		}
 	}
 
-	// Unknown model resolves at dispatch time, still 404.
+	// Unknown model is still 404.
 	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "nope", Row: sampleRow("25")}, nil); code != 404 {
-		t.Fatalf("batched unknown model status %d, want 404", code)
+		t.Fatalf("unknown model status %d, want 404", code)
 	}
 
-	// Per-row error attribution survives coalescing: a bad value at row 2
-	// fails only with "row 2:", regardless of batching.
+	// Per-row error attribution: a bad value at row 2 fails with "row 2:",
+	// with and without the (now inert) no_batch field.
 	bad := [][]string{sampleValues(m, "25"), sampleValues(m, "50"), nil}
 	bad[2] = append([]string(nil), sampleValues(m, "70")...)
 	schema := m.Tree().Schema
@@ -177,75 +190,101 @@ func TestBatchedPredictMatchesInline(t *testing.T) {
 	}
 }
 
-// TestQueueFullSheds429 makes admission control deterministic with the
-// dispatcher's exec gate: with the dispatcher blocked mid-flush and the
-// queue (capacity 1) occupied, the next request must shed with 429 and a
-// Retry-After header — and the parked requests must complete once the gate
-// opens.
+// reply is one finished HTTP exchange.
+type reply struct {
+	code int
+	body []byte
+	err  error
+}
+
+// postAsync posts body in the background and delivers the reply on ch.
+func postAsync(url string, body []byte, ch chan<- reply) {
+	go func() {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			ch <- reply{err: err}
+			return
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ch <- reply{code: resp.StatusCode, body: raw, err: err}
+	}()
+}
+
+// TestQueueFullSheds429 holds QueueDepth predicts in flight with the
+// admission hook: the next request must shed with 429, a JSON error body
+// and a Retry-After of at least one second, and once released every parked
+// request must answer 200 with the predictions PredictValuesBatch gives.
 func TestQueueFullSheds429(t *testing.T) {
 	m := trainModel(t, 1, 1000)
 	s, ts := newTestServer(t, m)
-	gateEntered := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	b := enableBatching(t, s, BatchConfig{MaxRows: 1, Linger: time.Millisecond, QueueDepth: 1})
-	b.holdExec = func() { gateEntered <- struct{}{}; <-gate }
+	const depth = 3
+	a := enableBatching(t, s, BatchConfig{QueueDepth: depth})
+	entered, open := parkAdmitted(a)
+	defer open()
 
-	body, _ := json.Marshal(predictRequest{Row: sampleRow("25")})
-	type result struct {
-		code int
-		err  error
-	}
-	results := make(chan result, 2)
-	post := func() {
-		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+	ages := []string{"25", "50", "70"}
+	replies := make(chan reply, depth)
+	wants := make(map[string]int) // a multiset: two requests may agree
+	for i := 0; i < depth; i++ {
+		rows := [][]string{sampleValues(m, ages[i]), sampleValues(m, "33")}
+		want, err := m.PredictValuesBatch(rows)
 		if err != nil {
-			results <- result{err: err}
-			return
+			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		results <- result{code: resp.StatusCode}
+		wants[strings.Join(want, ",")]++
+		body, _ := json.Marshal(predictRequest{ValuesRows: rows})
+		postAsync(ts.URL+"/v1/predict", body, replies)
+		<-entered
 	}
-	// First request: dequeued by the dispatcher, which parks at the gate.
-	go post()
-	<-gateEntered
-	// Second request: admitted, parked in the queue (capacity 1 → full).
-	go post()
-	waitFor(t, func() bool { return len(b.ch) == 1 })
+	if got := a.inflight.Load(); got != depth {
+		t.Fatalf("in flight = %d with %d parked, want %d", got, depth, depth)
+	}
 
-	// Third request: the queue is full — shed.
+	// Request depth+1: the cap is full — shed.
+	body, _ := json.Marshal(predictRequest{ValuesRows: [][]string{sampleValues(m, "25")}})
 	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]string
-	json.NewDecoder(resp.Body).Decode(&doc)
+	derr := json.NewDecoder(resp.Body).Decode(&doc)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full queue status %d, want 429", resp.StatusCode)
+		t.Fatalf("full cap status %d, want 429", resp.StatusCode)
+	}
+	if derr != nil || doc["error"] == "" {
+		t.Fatalf("429 body is not a JSON error (%v, %v)", doc, derr)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 response missing Retry-After header")
 	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
 		t.Fatalf("Retry-After %q is not a positive integer of seconds", ra)
 	}
-	if doc["error"] == "" {
-		t.Fatal("429 response missing JSON error body")
-	}
 	if s.met.shed.Load() != 1 {
 		t.Fatalf("shed counter = %d, want 1", s.met.shed.Load())
 	}
 
-	// Open the gate: both parked requests complete normally.
-	close(gate)
-	for i := 0; i < 2; i++ {
-		r := <-results
+	// Release: every parked request completes with its own predictions.
+	open()
+	for i := 0; i < depth; i++ {
+		r := <-replies
 		if r.err != nil || r.code != 200 {
-			t.Fatalf("parked request %d: code %d err %v", i, r.code, r.err)
+			t.Fatalf("parked request: code %d err %v body %s", r.code, r.err, r.body)
 		}
+		var out predictResponse
+		if err := json.Unmarshal(r.body, &out); err != nil {
+			t.Fatal(err)
+		}
+		key := strings.Join(out.Predictions, ",")
+		if wants[key] == 0 {
+			t.Fatalf("parked request answered %v, not any request's PredictValuesBatch", out.Predictions)
+		}
+		wants[key]--
 	}
+	waitFor(t, func() bool { return a.inflight.Load() == 0 })
 
-	// The metrics document carries the shed and the knobs.
+	// The metrics document carries the shed, the cap and the idle gauge.
 	var snap metricsSnapshot
 	if code := getJSON(t, ts.URL+"/v1/metrics", &snap); code != 200 {
 		t.Fatalf("metrics status %d", code)
@@ -254,9 +293,70 @@ func TestQueueFullSheds429(t *testing.T) {
 	if bs == nil {
 		t.Fatal("metrics missing batching section")
 	}
-	if bs.ShedTotal != 1 || bs.QueueCap != 1 || bs.MaxRows != 1 || bs.BatchesTotal < 2 {
+	if bs.ShedTotal != 1 || bs.QueueCap != depth || bs.QueueDepth != 0 {
 		t.Fatalf("batching section = %+v", bs)
 	}
+}
+
+// TestInflightReturnsToZero checks every exit from the predict handler
+// gives its slot back: success, a malformed body, an unknown model, a
+// malformed row, an oversized body and a client that hangs up while its
+// request is in flight.
+func TestInflightReturnsToZero(t *testing.T) {
+	m := trainModel(t, 1, 1000)
+	s, ts := newTestServer(t, m)
+	s.SetPredictMaxBytes(4 << 10)
+	a := enableBatching(t, s, BatchConfig{QueueDepth: 4})
+	url := ts.URL + "/v1/predict"
+
+	badRow := sampleRow("25")
+	badRow["car"] = "spaceship"
+	good, _ := json.Marshal(predictRequest{Row: sampleRow("25")})
+	unknown, _ := json.Marshal(predictRequest{Model: "nope", Row: sampleRow("25")})
+	malformed, _ := json.Marshal(predictRequest{Row: badRow})
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"ok", string(good), 200},
+		{"bad body", `{"row":`, 400},
+		{"unknown model", string(unknown), 404},
+		{"bad row", string(malformed), 422},
+		{"oversized", fmt.Sprintf(`{"row":{"pad":%q}}`, strings.Repeat("x", 8<<10)), 413},
+	} {
+		if code, _ := postRaw(t, url, tc.body); code != tc.want {
+			t.Fatalf("%s: status %d, want %d", tc.name, code, tc.want)
+		}
+		waitFor(t, func() bool { return a.inflight.Load() == 0 })
+	}
+
+	// A client that gives up while its request is parked in flight.
+	entered, open := parkAdmitted(a)
+	defer open()
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", url, bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	<-entered
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("cancelled request did not fail on the client")
+	}
+	if got := a.inflight.Load(); got != 1 {
+		t.Fatalf("in flight = %d while the abandoned request is parked, want 1", got)
+	}
+	open()
+	waitFor(t, func() bool { return a.inflight.Load() == 0 })
 }
 
 // waitFor polls cond for up to a second.
@@ -271,42 +371,39 @@ func waitFor(t testing.TB, cond func() bool) {
 	}
 }
 
-// TestNoBatchBypassesQueue proves the per-request toggle: with the
-// dispatcher gated and the queue full, a no_batch request still answers
-// 200 inline.
-func TestNoBatchBypassesQueue(t *testing.T) {
+// TestNoBatchCountsTowardCap checks the no_batch field no longer bypasses
+// admission control: with the cap held full, a no_batch request is shed
+// like any other.
+func TestNoBatchCountsTowardCap(t *testing.T) {
 	m := trainModel(t, 1, 1000)
 	s, ts := newTestServer(t, m)
-	gateEntered := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	defer close(gate)
-	b := enableBatching(t, s, BatchConfig{MaxRows: 1, Linger: time.Millisecond, QueueDepth: 1})
-	b.holdExec = func() { gateEntered <- struct{}{}; <-gate }
+	a := enableBatching(t, s, BatchConfig{QueueDepth: 1})
+	entered, open := parkAdmitted(a)
+	defer open()
 
 	body, _ := json.Marshal(predictRequest{Row: sampleRow("25")})
-	// Fill dispatcher + queue: one request parked at the gate, one queued.
-	for i := 0; i < 2; i++ {
-		go http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(append([]byte{}, body...)))
-	}
-	<-gateEntered
-	waitFor(t, func() bool { return len(b.ch) == 1 })
+	replies := make(chan reply, 1)
+	postAsync(ts.URL+"/v1/predict", body, replies)
+	<-entered
 
-	var out predictResponse
-	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Row: sampleRow("25"), NoBatch: true}, &out); code != 200 {
-		t.Fatalf("no_batch status %d with gated dispatcher, want 200", code)
+	noBatch, _ := json.Marshal(predictRequest{Row: sampleRow("25"), NoBatch: true})
+	if code, _ := postRaw(t, ts.URL+"/v1/predict", string(noBatch)); code != http.StatusTooManyRequests {
+		t.Fatalf("no_batch status %d with the cap full, want 429", code)
 	}
-	if out.Prediction == "" {
-		t.Fatalf("no_batch response %+v has no prediction", out)
+	open()
+	if r := <-replies; r.err != nil || r.code != 200 {
+		t.Fatalf("parked request: code %d err %v", r.code, r.err)
 	}
 }
 
-// TestBatchingMetricsCoalescing checks concurrent requests actually fold
-// into shared dispatches: with a generous linger, 8 concurrent positional
-// requests must produce fewer batches than requests.
+// TestBatchingMetricsCoalescing checks the batching section of /v1/metrics:
+// every request is its own dispatch, so coalesced_rows counts one
+// observation of each request's rows, and the knobs of the removed
+// coalescing dispatcher are gone from the document.
 func TestBatchingMetricsCoalescing(t *testing.T) {
 	m := trainModel(t, 1, 2000)
 	s, ts := newTestServer(t, m)
-	enableBatching(t, s, BatchConfig{MaxRows: 512, Linger: 20 * time.Millisecond, QueueDepth: 64})
+	enableBatching(t, s, BatchConfig{QueueDepth: 64})
 
 	const reqs = 8
 	var wg sync.WaitGroup
@@ -335,36 +432,43 @@ func TestBatchingMetricsCoalescing(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	var snap metricsSnapshot
-	if code := getJSON(t, ts.URL+"/v1/metrics", &snap); code != 200 {
+	var doc struct {
+		PredictionsTotal int64                      `json:"predictions_total"`
+		Batching         map[string]json.RawMessage `json:"batching"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/metrics", &doc); code != 200 {
 		t.Fatalf("metrics status %d", code)
 	}
-	bs := snap.Batching
-	if bs == nil {
-		t.Fatal("metrics missing batching section")
+	var keys []string
+	for k := range doc.Batching {
+		keys = append(keys, k)
 	}
-	if bs.BatchesTotal < 1 || bs.BatchesTotal >= reqs {
-		t.Fatalf("batches_total = %d for %d concurrent requests, want coalescing (1..%d)",
-			bs.BatchesTotal, reqs, reqs-1)
+	sort.Strings(keys)
+	if got := strings.Join(keys, ","); got != "coalesced_rows,queue_cap,queue_depth,shed_total" {
+		t.Fatalf("batching keys = %s", got)
 	}
-	if got := bs.CoalescedRows.Count; got != bs.BatchesTotal {
-		t.Fatalf("coalesced_rows count %d != batches_total %d", got, bs.BatchesTotal)
+	var rows histogramSnapshot
+	if err := json.Unmarshal(doc.Batching["coalesced_rows"], &rows); err != nil {
+		t.Fatal(err)
 	}
-	if snap.PredictionsTotal != 2*reqs {
-		t.Fatalf("predictions_total = %d, want %d", snap.PredictionsTotal, 2*reqs)
+	if rows.Count != reqs || rows.Sum != 2*reqs || rows.Mean != 2 {
+		t.Fatalf("coalesced_rows = %+v, want %d dispatches of 2 rows", rows, reqs)
+	}
+	if doc.PredictionsTotal != 2*reqs {
+		t.Fatalf("predictions_total = %d, want %d", doc.PredictionsTotal, 2*reqs)
 	}
 }
 
-// TestBatchedPredictHotSwapRace is the batched analogue of
+// TestBatchedPredictHotSwapRace is the admission-controlled analogue of
 // TestHotSwapUnderLoad (run under -race via make race): workers hammer the
-// micro-batched predict path with positional batches and map rows while
-// the model is continuously hot-swapped. Every request must succeed with a
+// capped predict path with positional batches and map rows while the model
+// is continuously hot-swapped. Every request must succeed with a
 // prediction valid under one of the two versions.
 func TestBatchedPredictHotSwapRace(t *testing.T) {
 	mA := trainModel(t, 1, 2000)
 	mB := trainModel(t, 7, 2000)
 	s, ts := newTestServer(t, mA)
-	enableBatching(t, s, BatchConfig{MaxRows: 64, Linger: 500 * time.Microsecond, QueueDepth: 512})
+	enableBatching(t, s, BatchConfig{QueueDepth: 512})
 	bodyA, bodyB := modelBytes(t, mA), modelBytes(t, mB)
 
 	const workers = 8
@@ -439,29 +543,43 @@ func TestBatchedPredictHotSwapRace(t *testing.T) {
 		t.Fatalf("metrics status %d", code)
 	}
 	if got := snap.Requests["predict"]; got.Errors != 0 || got.Requests != workers*perWorker {
-		t.Fatalf("predict route after batched swap storm = %+v", got)
+		t.Fatalf("predict route after swap storm = %+v", got)
 	}
 }
 
-// TestCloseFailsQueuedAndFallsBackInline checks shutdown semantics: Close
-// stops the dispatcher, and later predicts run inline (still 200).
-func TestCloseFailsQueuedAndFallsBackInline(t *testing.T) {
+// TestCloseLiftsCapInFlightFinish checks shutdown semantics: EnableBatching
+// refuses a second call, Close is idempotent, a request in flight across
+// Close still answers 200 and gives its slot back, and later predicts run
+// uncapped with no batching section on /v1/metrics.
+func TestCloseLiftsCapInFlightFinish(t *testing.T) {
 	m := trainModel(t, 1, 1000)
 	s, ts := newTestServer(t, m)
-	if err := s.EnableBatching(BatchConfig{}); err != nil {
+	if err := s.EnableBatching(BatchConfig{QueueDepth: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EnableBatching(BatchConfig{}); err == nil {
 		t.Fatal("double EnableBatching did not error")
 	}
-	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Row: sampleRow("25")}, nil); code != 200 {
-		t.Fatalf("batched predict status %d", code)
-	}
+	a := s.adm.Load()
+	entered, open := parkAdmitted(a)
+	defer open()
+	body, _ := json.Marshal(predictRequest{Row: sampleRow("25")})
+	replies := make(chan reply, 1)
+	postAsync(ts.URL+"/v1/predict", body, replies)
+	<-entered
+
 	s.Close()
 	s.Close() // idempotent
+	// The cap of 1 is held by the parked request, yet this one is admitted:
+	// the cap is gone.
 	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Row: sampleRow("25")}, nil); code != 200 {
-		t.Fatalf("inline predict after Close status %d", code)
+		t.Fatalf("predict after Close status %d, want 200", code)
 	}
+	open()
+	if r := <-replies; r.err != nil || r.code != 200 {
+		t.Fatalf("request in flight across Close: code %d err %v", r.code, r.err)
+	}
+	waitFor(t, func() bool { return a.inflight.Load() == 0 })
 	var snap metricsSnapshot
 	if code := getJSON(t, ts.URL+"/v1/metrics", &snap); code != 200 {
 		t.Fatalf("metrics status %d", code)

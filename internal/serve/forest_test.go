@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	parclass "repro"
 )
@@ -38,9 +37,9 @@ func TestForestPredictProbaAndTrees(t *testing.T) {
 	if _, err := s.Load("default", f, "test"); err != nil {
 		t.Fatal(err)
 	}
-	// Enable batching to prove single-row forest requests bypass the
-	// coalescing queue and still produce proba inline.
-	if err := s.EnableBatching(BatchConfig{MaxRows: 64, Linger: time.Millisecond, QueueDepth: 16}); err != nil {
+	// Admission control must not change the response: single-row forest
+	// requests still carry proba.
+	if err := s.EnableBatching(BatchConfig{QueueDepth: 16}); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()

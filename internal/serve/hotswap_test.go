@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	parclass "repro"
 	"repro/internal/ingest"
@@ -98,150 +97,51 @@ func TestModelInfoAtomicUnderSwap(t *testing.T) {
 }
 
 // TestBatchedPredictTreesFromDispatchModel is the regression test for the
-// batched predict path's torn view: the response's "trees" field was read
-// from the model version current when the request was ADMITTED, while the
-// predictions came from the version current at DISPATCH. With the
-// dispatcher parked across a tree→forest hot swap, the old code answered
-// forest predictions labeled as a single-tree response (no trees field).
+// predict path's torn view: the response's "trees" field must come from
+// the model version that produced the predictions. With a request parked
+// after admission across a tree→forest hot swap, it must answer with the
+// forest's predictions labeled with the forest's ensemble size, never
+// forest predictions in a single-tree response (no trees field).
 func TestBatchedPredictTreesFromDispatchModel(t *testing.T) {
 	tree := trainModel(t, 1, 2000)
 	forest := trainForest(t, 5)
 	s, ts := newTestServer(t, tree)
-	gateEntered := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	b := enableBatching(t, s, BatchConfig{MaxRows: 4, Linger: time.Millisecond, QueueDepth: 8})
-	var once sync.Once
-	b.holdExec = func() { once.Do(func() { gateEntered <- struct{}{} }); <-gate }
+	a := enableBatching(t, s, BatchConfig{QueueDepth: 8})
+	entered, open := parkAdmitted(a)
+	defer open()
 
-	// values_rows with 2 rows: multi-row positional → takes the batching
-	// path while the single tree serves.
-	body, _ := json.Marshal(predictRequest{ValuesRows: [][]string{
-		sampleValues(tree, "25"), sampleValues(tree, "50"),
-	}})
-	type result struct {
-		resp predictResponse
-		code int
-		err  error
-	}
-	results := make(chan result, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			results <- result{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		var pr predictResponse
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			results <- result{err: err}
-			return
-		}
-		results <- result{resp: pr, code: resp.StatusCode}
-	}()
+	rows := [][]string{sampleValues(tree, "25"), sampleValues(tree, "50")}
+	body, _ := json.Marshal(predictRequest{ValuesRows: rows})
+	replies := make(chan reply, 1)
+	postAsync(ts.URL+"/v1/predict", body, replies)
 
-	// The dispatcher has collected the request and parked at the flush
-	// gate; swap in the forest, then release. The batch now executes
-	// against the forest.
-	<-gateEntered
-	if _, err := s.Load("default", forest, "mid-queue swap"); err != nil {
+	// The request was admitted while the single tree served; swap in the
+	// forest, then release. It reads the model after the swap.
+	<-entered
+	if _, err := s.Load("default", forest, "mid-flight swap"); err != nil {
 		t.Fatal(err)
 	}
-	close(gate)
+	open()
 
-	r := <-results
+	r := <-replies
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if r.code != http.StatusOK || len(r.resp.Predictions) != 2 {
-		t.Fatalf("swap-raced batch: code %d resp %+v", r.code, r.resp)
+	var resp predictResponse
+	if err := json.Unmarshal(r.body, &resp); err != nil {
+		t.Fatal(err)
 	}
-	if r.resp.Trees != forest.NumTrees() {
-		t.Fatalf("trees=%d but the forest (%d trees) served the batch: "+
-			"response metadata torn from the admission-time model",
-			r.resp.Trees, forest.NumTrees())
+	want, err := forest.PredictValuesBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestCoalescedFallbackRowIndexPerRequest pins the micro-batcher's
-// fallback attribution: when two requests coalesce into one dispatch and
-// one carries a malformed row, the error must name the row's index WITHIN
-// ITS OWN REQUEST (here "row 1:"), never its offset in the coalesced group
-// (global row 3) — and the good request must still succeed.
-func TestCoalescedFallbackRowIndexPerRequest(t *testing.T) {
-	m := trainModel(t, 1, 2000)
-	s, ts := newTestServer(t, m)
-	gateEntered := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	b := enableBatching(t, s, BatchConfig{MaxRows: 64, Linger: 50 * time.Millisecond, QueueDepth: 8})
-	var once sync.Once
-	b.holdExec = func() { once.Do(func() { gateEntered <- struct{}{} }); <-gate }
-
-	// Park the dispatcher with a sacrificial request so A and B are both
-	// queued before any flush — they are then guaranteed to coalesce.
-	sacBody, _ := json.Marshal(predictRequest{ValuesRows: [][]string{sampleValues(m, "25")}})
-	goodBody, _ := json.Marshal(predictRequest{ValuesRows: [][]string{
-		sampleValues(m, "25"), sampleValues(m, "50"),
-	}})
-	badRows := [][]string{sampleValues(m, "70"), sampleValues(m, "30")}
-	schema := m.Tree().Schema
-	for a := range schema.Attrs {
-		if schema.Attrs[a].Name == "car" {
-			badRows[1][a] = "spaceship" // request B's row 1 (global row 3) is bad
-		}
+	if r.code != http.StatusOK || strings.Join(resp.Predictions, ",") != strings.Join(want, ",") {
+		t.Fatalf("swap-raced request: code %d resp %+v, want forest predictions %v", r.code, resp, want)
 	}
-	badBody, _ := json.Marshal(predictRequest{ValuesRows: badRows})
-
-	type result struct {
-		code int
-		body map[string]any
-		err  error
-	}
-	post := func(body []byte, ch chan result) {
-		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			ch <- result{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		var doc map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			ch <- result{err: err}
-			return
-		}
-		ch <- result{code: resp.StatusCode, body: doc}
-	}
-	sacCh, goodCh, badCh := make(chan result, 1), make(chan result, 1), make(chan result, 1)
-	go post(sacBody, sacCh)
-	<-gateEntered // dispatcher parked mid-flush of the sacrificial request
-	go post(goodBody, goodCh)
-	go post(badBody, badCh)
-	waitFor(t, func() bool { return len(b.ch) == 2 })
-	close(gate)
-
-	for _, ch := range []chan result{sacCh, goodCh} {
-		r := <-ch
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if r.code != http.StatusOK {
-			t.Fatalf("good request status %d body %v", r.code, r.body)
-		}
-	}
-	r := <-badCh
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if r.code != http.StatusUnprocessableEntity {
-		t.Fatalf("bad request status %d, want 422", r.code)
-	}
-	msg, _ := r.body["error"].(string)
-	if !strings.Contains(msg, "row 1:") {
-		t.Fatalf("fallback error %q does not name row 1 (request-relative index)", msg)
-	}
-	for _, leak := range []string{"row 2:", "row 3:"} {
-		if strings.Contains(msg, leak) {
-			t.Fatalf("fallback error %q leaks the coalesced-group offset (%s)", msg, leak)
-		}
+	if resp.Trees != forest.NumTrees() {
+		t.Fatalf("trees=%d but the forest (%d trees) served the request: "+
+			"response metadata torn from another model version",
+			resp.Trees, forest.NumTrees())
 	}
 }
 

@@ -18,10 +18,6 @@ var latencyBoundsUS = []int64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000,
 // batchBounds are the rows-per-predict-request bucket upper bounds.
 var batchBounds = []int64{1, 8, 32, 128, 512, 2048}
 
-// coalescedReqBounds are the requests-per-dispatch bucket upper bounds for
-// the micro-batcher (how many HTTP requests one flat-tree walk served).
-var coalescedReqBounds = []int64{1, 2, 4, 8, 16, 32, 64}
-
 // histogram is a fixed-bucket histogram with atomic counters.
 type histogram struct {
 	bounds  []int64
@@ -84,22 +80,14 @@ type metrics struct {
 	latencyUS                                        *histogram
 	batchRows                                        *histogram
 	predictions                                      atomic.Int64 // rows classified, all models
-
-	// Micro-batcher counters: requests shed by admission control (429),
-	// coalesced dispatches, and the rows / requests folded into each.
-	shed          atomic.Int64
-	batches       atomic.Int64
-	coalescedRows *histogram
-	coalescedReqs *histogram
+	shed                                             atomic.Int64 // predicts rejected 429 by admission control
 }
 
 func newMetrics() *metrics {
 	return &metrics{
-		start:         time.Now(),
-		latencyUS:     newHistogram(latencyBoundsUS),
-		batchRows:     newHistogram(batchBounds),
-		coalescedRows: newHistogram(batchBounds),
-		coalescedReqs: newHistogram(coalescedReqBounds),
+		start:     time.Now(),
+		latencyUS: newHistogram(latencyBoundsUS),
+		batchRows: newHistogram(batchBounds),
 	}
 }
 

@@ -91,8 +91,8 @@ type Server struct {
 	buildMon atomic.Pointer[parclass.BuildMonitor]
 	// predictCap overrides DefaultPredictMaxBytes when positive.
 	predictCap atomic.Int64
-	// batch is the predict micro-batcher, nil until EnableBatching.
-	batch atomic.Pointer[batcher]
+	// adm is the predict in-flight cap, nil until EnableBatching.
+	adm atomic.Pointer[admission]
 	// ing is the online-learning subsystem (labeled-row windows + retrain
 	// counters), nil until EnableIngest.
 	ing atomic.Pointer[ingestState]
@@ -324,11 +324,10 @@ func writeErr(w http.ResponseWriter, rs *routeStats, code int, format string, ar
 // name→value), Rows (batch of the same), Values (single positional row in
 // schema attribute order — the fast path, no per-attribute keys on the
 // wire) or ValuesRows (batch positional), plus an optional model name.
-// NoBatch opts this one request out of server-side micro-batching: it runs
-// inline instead of joining the coalescing queue (useful for latency-
-// sensitive probes while bulk traffic batches). The json tags name the
-// wire keys decodePredict matches; FuzzPredictRequest holds the two to
-// agreeing.
+// NoBatch is still accepted on the wire and has no effect: every predict
+// runs inline, and every one counts toward the admission cap. The json
+// tags name the wire keys decodePredict matches; FuzzPredictRequest holds
+// the two to agreeing.
 type predictRequest struct {
 	Model      string              `json:"model,omitempty"`
 	Row        map[string]string   `json:"row,omitempty"`
@@ -358,6 +357,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	rs := &s.met.predict
 	rs.requests.Add(1)
 	start := time.Now()
+	a := s.adm.Load()
+	if !a.admit(w, rs) {
+		return
+	}
+	defer a.release()
 	body, ok := s.readBody(w, r, rs)
 	if !ok {
 		return
@@ -381,58 +385,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = s.defaultModel
 	}
+	// One snapshot serves the whole request: predictions, trees and proba
+	// all come from the same published version, so a hot swap cannot tear
+	// the response.
 	sl, cur := s.current(name)
-	// Single-row requests served by a forest answer inline even when
-	// batching is on: the vote distribution (proba) comes out of the same
-	// fused walk, and the coalesced batch path would drop it.
-	var pp parclass.ProbaPredictor
-	if cur != nil {
-		pp, _ = cur.model.(parclass.ProbaPredictor)
-	}
-	inlineProba := pp != nil && (req.Row != nil || len(req.Values) > 0)
-	// The coalescing path: join the admission queue and let the dispatcher
-	// fold this request into one sharded batch walk per linger window. The
-	// queue is bounded; a full queue sheds the request with 429 instead of
-	// queueing goroutines and memory without bound.
-	if b := s.batch.Load(); b != nil && !req.NoBatch && !inlineProba {
-		p := newPending(name, &req)
-		if !b.submit(p) {
-			s.met.shed.Add(1)
-			w.Header().Set("Retry-After", b.retryAfter())
-			writeErr(w, rs, http.StatusTooManyRequests, "prediction queue full, retry later")
-			return
-		}
-		select {
-		case out := <-p.done:
-			if out.code != http.StatusOK {
-				writeErr(w, rs, out.code, "%s", out.err)
-				return
-			}
-			resp := predictResponse{Model: name, Rows: p.nrows()}
-			// Trees comes from the outcome — the model that actually served
-			// the batch at dispatch time — not from the version current when
-			// the request was admitted, so a hot swap mid-queue cannot
-			// produce predictions from one model labeled with another's
-			// ensemble size.
-			if out.trees > 1 {
-				resp.Trees = out.trees
-			}
-			if p.single {
-				resp.Prediction = out.preds[0]
-			} else {
-				resp.Predictions = out.preds
-			}
-			resp.ElapsedUS = time.Since(start).Microseconds()
-			s.met.latencyUS.observe(resp.ElapsedUS)
-			s.met.batchRows.observe(int64(resp.Rows))
-			writeJSON(w, http.StatusOK, resp)
-		case <-r.Context().Done():
-			// Client gone; the dispatcher's send lands in the buffered done
-			// channel and is garbage collected with it.
-			rs.errors.Add(1)
-		}
-		return
-	}
 	if cur == nil {
 		writeErr(w, rs, http.StatusNotFound, "no model %q", name)
 		return
@@ -441,6 +397,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if nt := cur.model.NumTrees(); nt > 1 {
 		resp.Trees = nt
 	}
+	pp, _ := cur.model.(parclass.ProbaPredictor)
 	switch {
 	case req.Row != nil:
 		var pred string
@@ -553,9 +510,8 @@ type metricsSnapshot struct {
 	// Build is present when a BuildMonitor is attached: the training run's
 	// state and per-phase gauges, live while the build is in progress.
 	Build *buildStatus `json:"build,omitempty"`
-	// Batching is present when the micro-batcher is enabled: its knobs, a
-	// live queue-depth gauge, shed/dispatch counters and coalescing
-	// histograms.
+	// Batching is present when admission control is enabled: the cap, a
+	// live in-flight gauge, the shed counter and the rows per dispatch.
 	Batching *batchingSnapshot `json:"batching,omitempty"`
 	// Ingest is present when online learning is enabled: window sizes,
 	// ingested rows/s, retrain cycle counters and the last swap/reject
@@ -563,22 +519,17 @@ type metricsSnapshot struct {
 	Ingest *ingestSnapshot `json:"ingest,omitempty"`
 }
 
-// batchingSnapshot is the /metrics micro-batcher section.
+// batchingSnapshot is the /metrics admission-control section.
 type batchingSnapshot struct {
-	MaxRows  int   `json:"max_rows"`
-	LingerUS int64 `json:"linger_us"`
-	QueueCap int   `json:"queue_cap"`
-	// QueueDepth is the live number of admitted requests waiting for the
-	// dispatcher at snapshot time.
-	QueueDepth int `json:"queue_depth"`
+	// QueueCap is the in-flight cap.
+	QueueCap int64 `json:"queue_cap"`
+	// QueueDepth is the live number of predicts in flight.
+	QueueDepth int64 `json:"queue_depth"`
 	// ShedTotal counts requests rejected 429 by admission control.
 	ShedTotal int64 `json:"shed_total"`
-	// BatchesTotal counts coalesced dispatches (flat-tree batch walks).
-	BatchesTotal int64 `json:"batches_total"`
-	// CoalescedRows / CoalescedRequests distribute the rows and HTTP
-	// requests folded into each dispatch.
-	CoalescedRows     histogramSnapshot `json:"coalesced_rows"`
-	CoalescedRequests histogramSnapshot `json:"coalesced_requests"`
+	// CoalescedRows distributes the rows per dispatch. Each request is its
+	// own dispatch, so it is the predict_batch_rows histogram.
+	CoalescedRows histogramSnapshot `json:"coalesced_rows"`
 }
 
 // buildStatus is the /metrics build section.
@@ -651,16 +602,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if st := s.ing.Load(); st != nil {
 		snap.Ingest = st.snapshot()
 	}
-	if b := s.batch.Load(); b != nil {
+	if a := s.adm.Load(); a != nil {
 		snap.Batching = &batchingSnapshot{
-			MaxRows:           b.cfg.MaxRows,
-			LingerUS:          b.cfg.Linger.Microseconds(),
-			QueueCap:          b.cfg.QueueDepth,
-			QueueDepth:        len(b.ch),
-			ShedTotal:         s.met.shed.Load(),
-			BatchesTotal:      s.met.batches.Load(),
-			CoalescedRows:     s.met.coalescedRows.snapshot(),
-			CoalescedRequests: s.met.coalescedReqs.snapshot(),
+			QueueCap:      a.cap,
+			QueueDepth:    a.inflight.Load(),
+			ShedTotal:     s.met.shed.Load(),
+			CoalescedRows: snap.PredictBatchRows,
 		}
 	}
 	s.mu.RLock()

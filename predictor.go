@@ -31,7 +31,7 @@ type Predictor interface {
 	// PredictBatch classifies many named rows at once.
 	PredictBatch(rows []map[string]string) ([]string, error)
 	// PredictValuesBatch classifies many positional rows at once — the
-	// bulk fast path the server's micro-batcher dispatches into.
+	// bulk fast path the server's "values_rows" form calls.
 	PredictValuesBatch(rows [][]string) ([]string, error)
 	// PredictDataset classifies every row of ds in order.
 	PredictDataset(ds *Dataset) []string
@@ -202,8 +202,7 @@ func (s *scorer) PredictBatch(rows []map[string]string) ([]string, error) {
 
 // PredictValuesBatch classifies many positional rows at once: the batch
 // form of PredictValues, and the fast path for bulk positional traffic
-// (the server's "values_rows" request form and its micro-batcher dispatch
-// both land here). Decode and the fused row-major vote fan out over
+// (the server's "values_rows" request form lands here). Decode and the fused row-major vote fan out over
 // contiguous row shards, with one backing array per column kind instead of
 // per-row buffers, so an N-tree forest costs one decode per row, not N. It
 // returns one predicted class name per row, in order; a malformed row fails
