@@ -18,8 +18,9 @@
 // while -background-train is still growing the tree.
 //
 // Every predict request runs inline on its own handler goroutine behind
-// an admission cap: at most -queue-depth predicts run at once, and the
-// rest are shed with 429 + Retry-After; -queue-depth 0 disables the cap.
+// an admission cap: once the predicts in flight plus those estimated to be
+// waiting for a CPU reach -queue-depth, the rest are shed with 429 +
+// Retry-After; -queue-depth 0 disables the cap.
 // The predict body cap is -predict-max-bytes (413 past it).
 //
 // Cluster mode turns a set of parclassd processes into a replicated
@@ -82,7 +83,7 @@ func main() {
 		featureFrac = flag.Float64("feature-frac", 0, "attribute subsample fraction per tree (0 = all attributes)")
 		forestSeed  = flag.Int64("forest-seed", 0, "forest bootstrap/feature RNG seed")
 		queueDepth  = flag.Int("queue-depth", serve.DefaultBatchQueueDepth,
-			"cap on predict requests in flight; past it requests shed with 429 + Retry-After (0 disables the cap)")
+			"cap on the predict backlog (in flight plus waiting for a CPU); past it requests shed with 429 + Retry-After (0 disables the cap)")
 		predictMaxBytes = flag.Int64("predict-max-bytes", serve.DefaultPredictMaxBytes,
 			"POST /v1/predict body cap in bytes (oversized bodies answer 413)")
 		ingestWindow = flag.Int("ingest-window", serve.DefaultIngestWindow,
@@ -156,7 +157,7 @@ func main() {
 		if err := s.EnableBatching(serve.BatchConfig{QueueDepth: *queueDepth}); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("admission control: at most %d predicts in flight", *queueDepth)
+		log.Printf("admission control: predict backlog capped at %d", *queueDepth)
 	}
 
 	var stopRetrain func()

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"net"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,14 +105,21 @@ func TestTrailingGarbageRejected(t *testing.T) {
 }
 
 // enableBatching turns admission control on for a test server and turns it
-// off at cleanup.
+// off at cleanup. It freezes the waiting estimate at 0, so the cap counts
+// exactly the requests a test holds in flight, however busy the host is.
 func enableBatching(t testing.TB, s *Server, cfg BatchConfig) *admission {
 	t.Helper()
 	if err := s.EnableBatching(cfg); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	return s.adm.Load()
+	return freeze(s.adm.Load())
+}
+
+// freeze stops a's sampler, leaving its waiting estimate for the test to set.
+func freeze(a *admission) *admission {
+	a.nextSample.Store(math.MaxInt64)
+	return a
 }
 
 // parkAdmitted makes every admitted predict on a announce itself on the
@@ -300,8 +310,8 @@ func TestQueueFullSheds429(t *testing.T) {
 
 // TestInflightReturnsToZero checks every exit from the predict handler
 // gives its slot back: success, a malformed body, an unknown model, a
-// malformed row, an oversized body and a client that hangs up while its
-// request is in flight.
+// malformed row, an oversized body (refused before admission) and a client
+// that hangs up while its request is in flight.
 func TestInflightReturnsToZero(t *testing.T) {
 	m := trainModel(t, 1, 1000)
 	s, ts := newTestServer(t, m)
@@ -560,7 +570,7 @@ func TestCloseLiftsCapInFlightFinish(t *testing.T) {
 	if err := s.EnableBatching(BatchConfig{}); err == nil {
 		t.Fatal("double EnableBatching did not error")
 	}
-	a := s.adm.Load()
+	a := freeze(s.adm.Load())
 	entered, open := parkAdmitted(a)
 	defer open()
 	body, _ := json.Marshal(predictRequest{Row: sampleRow("25")})
@@ -586,5 +596,141 @@ func TestCloseLiftsCapInFlightFinish(t *testing.T) {
 	}
 	if snap.Batching != nil {
 		t.Fatal("batching section still present after Close")
+	}
+}
+
+// TestStalledBodyHoldsNoSlot checks a slot is taken only once the body is
+// read: with a cap of 1, a client that sends its headers and part of its
+// body and then stalls does not keep another client's predict from running.
+func TestStalledBodyHoldsNoSlot(t *testing.T) {
+	m := trainModel(t, 1, 1000)
+	s, ts := newTestServer(t, m)
+	a := enableBatching(t, s, BatchConfig{QueueDepth: 1})
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/predict HTTP/1.1\r\nHost: test\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n{\"row\":")
+	// The route counts the request on entry, before it reads the body.
+	waitFor(t, func() bool { return s.met.predict.requests.Load() == 1 })
+
+	if code := postJSON(t, ts.URL+"/v1/predict", predictRequest{Row: sampleRow("25")}, nil); code != 200 {
+		t.Fatalf("predict beside a stalled upload: status %d, want 200", code)
+	}
+	if got := a.inflight.Load(); got != 0 {
+		t.Fatalf("in flight = %d with only a stalled upload open, want 0", got)
+	}
+}
+
+// TestWaitingCountsTowardCap checks the cap counts the predicts estimated
+// to be waiting for a CPU as well as those in flight: with nothing in
+// flight, an estimate at the cap sheds with a Retry-After that covers the
+// backlog, and one below it admits.
+func TestWaitingCountsTowardCap(t *testing.T) {
+	m := trainModel(t, 1, 1000)
+	s, ts := newTestServer(t, m)
+	a := enableBatching(t, s, BatchConfig{QueueDepth: 4})
+	observeMeanLatency(s, 1_000_000) // 1s per predict per core
+
+	a.waiting.Store(4)
+	body, _ := json.Marshal(predictRequest{Row: sampleRow("25")})
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d with 4 waiting at a cap of 4, want 429", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "4" {
+		t.Fatalf("Retry-After = %q, want \"4\" (4 waiting × 1s)", got)
+	}
+	if got := a.inflight.Load(); got != 0 {
+		t.Fatalf("in flight = %d after a shed, want 0", got)
+	}
+
+	a.waiting.Store(3)
+	if code, _ := postRaw(t, ts.URL+"/v1/predict", string(body)); code != 200 {
+		t.Fatalf("status %d with 3 waiting at a cap of 4, want 200", code)
+	}
+}
+
+// TestWaitingForLittlesLaw pins the estimator on a synthetic window:
+// arrivals × the window's mean scheduling latency ÷ its length.
+func TestWaitingForLittlesLaw(t *testing.T) {
+	edges := []float64{math.Inf(-1), 0, 1e-6, 1e-3, 1e-2, math.Inf(1)}
+	prev := []uint64{0, 7, 0, 3, 1}
+	window := int64(100 * time.Millisecond)
+	for _, tc := range []struct {
+		name     string
+		cur      []uint64
+		arrivals int64
+		want     int64
+	}{
+		// Every wait in [1 ms, 10 ms): a mean of 5.5 ms, so 1000
+		// arrivals in 100 ms leave 55 waiting.
+		{"mean wait", []uint64{0, 7, 0, 13, 1}, 1000, 55},
+		// 90 handoffs under 1 µs dilute the mean tenfold: 5.5, rounded to 6.
+		{"handoffs", []uint64{0, 97, 0, 13, 1}, 1000, 6},
+		// The unbounded last bucket counts at its lower edge, 10 ms.
+		{"open last bucket", []uint64{0, 7, 0, 3, 11}, 1000, 100},
+		{"no scheduling events", []uint64{0, 7, 0, 3, 1}, 1000, 0},
+		{"no arrivals", []uint64{0, 7, 0, 13, 1}, 0, 0},
+		// The first bucket, (-Inf, 0), counts as no wait.
+		{"first bucket", []uint64{10, 7, 0, 3, 1}, 1000, 0},
+	} {
+		if got := waitingFor(edges, prev, tc.cur, tc.arrivals, window); got != tc.want {
+			t.Errorf("%s: waitingFor = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSchedulerBacklogRaisesWaiting runs the sampler against the real
+// runtime: four goroutines per GOMAXPROCS each run 1 ms slices of CPU work
+// and yield, the way inline handlers queue under overload, so a runnable
+// goroutine waits about 3 ms and the window's arrivals are estimated to be
+// waiting. (The runtime times one in eight of a goroutine's waits, so the
+// slices are short enough to give the histogram many samples.)
+func TestSchedulerBacklogRaisesWaiting(t *testing.T) {
+	a := newAdmission(newMetrics(), 1)
+	t0 := time.Now().UnixNano()
+	a.refresh(t0) // the baseline sample
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4*runtime.GOMAXPROCS(0); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for t := time.Now(); time.Since(t) < time.Millisecond; {
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	time.Sleep(100 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	const arrivals = 100_000
+	a.arrivals.Add(arrivals)
+	t1 := time.Now().UnixNano()
+	a.refresh(t1)
+	// A mean wait of at least half a millisecond over the window.
+	if floor := arrivals * int64(time.Millisecond/2) / (t1 - t0); a.waiting.Load() < floor {
+		t.Fatalf("waiting = %d after a saturated %v window, want ≥ %d",
+			a.waiting.Load(), time.Duration(t1-t0), floor)
+	}
+	if next := a.nextSample.Load(); next != t1+sampleEvery {
+		t.Fatalf("next sample at %d, want %d", next, t1+sampleEvery)
 	}
 }

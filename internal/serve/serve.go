@@ -357,15 +357,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	rs := &s.met.predict
 	rs.requests.Add(1)
 	start := time.Now()
+	// The body is read before admission, so a slow upload holds no slot.
+	body, ok := s.readBody(w, r, rs)
+	if !ok {
+		return
+	}
 	a := s.adm.Load()
 	if !a.admit(w, rs) {
 		return
 	}
 	defer a.release()
-	body, ok := s.readBody(w, r, rs)
-	if !ok {
-		return
-	}
 	var req predictRequest
 	if err := decodePredict(body, &req); err != nil {
 		writeErr(w, rs, http.StatusBadRequest, "%v", err)
