@@ -30,13 +30,15 @@ test:
 
 # Zero-allocation gates for the scratch-arena hot paths: the E/W/S work
 # units (internal/core/alloc_test.go), the setup pre-sort with caller
-# scratch, the histogram engine, the pooled single-row PredictValues
+# scratch, the histogram engine (its work units, and its retained parent
+# histograms, which come from a pool sized once per build), the pooled
+# single-row PredictValues
 # on a Model and a Forest, and the bulk predict body read and decode
 # (-count=1 so a cached pass can't mask a regression introduced by a
 # dependency).
 alloc-check:
 	$(GO) test -count=1 -run 'TestSortAllocationBudget' ./internal/alist/
-	$(GO) test -count=1 -run 'TestWorkUnitAllocationBudget' ./internal/core/
+	$(GO) test -count=1 -run 'TestWorkUnitAllocationBudget|TestHistRetainAllocationBudget' ./internal/core/
 	$(GO) test -count=1 -run 'TestHistWorkUnitAllocationBudget' ./internal/hist/
 	$(GO) test -count=1 -run 'TestPredictValuesAllocationBudget' .
 	$(GO) test -count=1 -run 'TestRequestDecodeAllocationBudget' ./internal/serve/
@@ -59,7 +61,8 @@ ingest-soak:
 	$(GO) test -race -count=1 -run 'TestIngestPredictSoak' ./internal/serve/
 
 # Cluster soak: a 3-node in-process fleet on real TCP listeners under
-# open-loop overload, one node hard-killed and restarted on the same port
+# sustained open-loop load (below the admission cap: it sheds nothing and
+# does not test overload), one node hard-killed and restarted on the same port
 # mid-run with a model published during the outage, under the race
 # detector; fails on any 5xx or if anti-entropy does not converge the
 # restarted node (-count=1 so every run replays the crash afresh).
@@ -73,15 +76,17 @@ benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Native fuzzing, outside verify: the model reader, the CSV loaders, the
-# predict/ingest body decoder against encoding/json and the cluster's
-# version-vector wire form, each for FUZZTIME (tier-1 `go test` already
-# runs their seeds).
+# predict/ingest body decoder against encoding/json, the cluster's
+# version-vector wire form and the incremental categorical split search
+# against its re-summing reference, each for FUZZTIME (tier-1 `go test`
+# already runs their seeds).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseVersion$$' -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzCatEvalSearch$$' -fuzztime $(FUZZTIME) ./internal/split/
 
 # The build-phase observability sweep: real instrumented builds over the
 # paper's F1/F7 pair plus the forest build/serve rows, written to the

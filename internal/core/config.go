@@ -22,6 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/alist"
@@ -181,6 +182,14 @@ type Config struct {
 	// aborts the build. The Hist engine touches no store, so its chaos
 	// tests inject panics and faults here instead of through StoreWrap.
 	histHook func(phase string, worker int) error
+	// histRetain and histBlock, when non-zero, override the Hist engine's
+	// retained-parent pool (a histogram count; negative means none, which
+	// forces direct accumulation of every leaf) and its leaf block size;
+	// histSubtracted, when non-nil, counts the leaves whose histogram was
+	// derived by subtraction. Test seams for the subtraction path.
+	histRetain     int
+	histBlock      int
+	histSubtracted *atomic.Int64
 }
 
 // withDefaults fills zero fields with defaults and validates.

@@ -30,6 +30,9 @@ type childInfo struct {
 	terminal bool // purity pre-test: child will not be processed further
 	segs     []segRef
 	rowLo    int // Hist only: start of the child's row-index range
+	// Hist only: the parent's merged histogram, retained for subtraction
+	// (set on both children of a retaining split).
+	parentSum []int64
 }
 
 // leafState is the engine's working state for one frontier leaf.
@@ -47,9 +50,16 @@ type leafState struct {
 
 	// Hist-engine state: the leaf's tuples are rows idx[rowLo:rowLo+n] of
 	// the engine's row-index permutation, and histLeft routes the winning
-	// attribute's bins to the children.
-	rowLo    int
-	histLeft []bool
+	// attribute's bins to the children. sum is the leaf's merged class×bin
+	// histogram, a pool buffer handed out by histPlan. A leaf with sib >= 0
+	// is not accumulated: its sum starts as the parent's retained histogram
+	// (parentSum, set on both children until the plan claims it) and
+	// E-merge subtracts the block's leaf sib from it in place.
+	rowLo     int
+	histLeft  []bool
+	sum       []int64
+	sib       int
+	parentSum []int64
 
 	// Scheduling state for the dynamic (per-leaf) schemes.
 	eNext atomic.Int64 // next E attribute to grab
@@ -614,6 +624,7 @@ func childLeafState(c *childInfo, parentIdx int, nattr int) *leafState {
 		segs:      c.segs,
 		cands:     make([]split.Candidate, nattr),
 		rowLo:     c.rowLo,
+		parentSum: c.parentSum,
 	}
 }
 

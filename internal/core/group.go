@@ -47,7 +47,8 @@ func (e *engine) newGroup(workers []int, frontier []*leafState, writePair [2]int
 }
 
 // arm points g at a level: its frontier, fresh grab counters and leaf
-// signals, and the slots its children are written into.
+// signals, the slots its children are written into and, for HIST, the
+// first block's histogram buffers.
 func (e *engine) arm(g *group, frontier []*leafState, writePair [2]int) {
 	g.frontier, g.writePair = frontier, writePair
 	g.eCtr.Store(0)
@@ -58,6 +59,9 @@ func (e *engine) arm(g *group, frontier []*leafState, writePair [2]int) {
 	}
 	if e.policy() == MWK {
 		g.doneCh = makeSignals(len(frontier))
+	}
+	if e.hs != nil {
+		e.histPlan(frontier, 0)
 	}
 }
 

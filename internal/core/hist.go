@@ -32,14 +32,31 @@ import (
 //	          and stably partition the leaf's slice of the global row-index
 //	          permutation in place.
 //
+// Histogram subtraction (Meng et al.) halves the accumulation: when a
+// split leaf's two children both go on, W keeps the leaf's merged histogram
+// instead of returning it to the pool. If the siblings land in one block of
+// the next level, only the smaller is accumulated, and E-merge derives the
+// larger as parent − smaller in the parent's buffer, with no per-worker
+// arena to zero or merge. Siblings split across blocks are both accumulated.
+//
 // Histograms are integer sums and the partition is stable, so the tree is
-// byte-identical for every processor count. The frontier is processed in
-// blocks of leaves sized so each worker's arena stays within a fixed byte
-// budget regardless of tree width.
+// byte-identical for every processor count and with or without
+// subtraction. The frontier is processed in blocks of leaves sized so each
+// worker's arena stays within a fixed byte budget regardless of tree width.
 
 // histArenaBudget bounds each worker's local histogram arena in bytes; the
 // frontier block size is however many leaves fit.
 const histArenaBudget = 32 << 20
+
+// histRetainBudget bounds the bytes of parent histograms retained for
+// subtraction. The pool behind it is sized once, in binHist; a parent that
+// finds it full is not retained and its children are accumulated directly.
+const histRetainBudget = histArenaBudget / 4
+
+// histRetainMinRows is the smallest larger child worth a retained parent:
+// subtracting saves accumulating that child's rows, so a budget-bound pool
+// goes to the splits where it saves the most.
+const histRetainMinRows = 256
 
 // histMaxBlock caps the leaves per frontier block so the master's W pass
 // between barriers stays short even when the stride is tiny.
@@ -47,14 +64,19 @@ const histMaxBlock = 64
 
 // histState is the HIST engine's shared build state, fixed once binning
 // ends: the binned matrix, the row-index permutation (a leaf's rows are
-// idx[rowLo:rowLo+n]), the leaf block size, every worker's local
-// histogram arena (read by all workers in E-merge) and the merged block.
+// idx[rowLo:rowLo+n]), the leaf block size and every worker's local
+// histogram arena (read by all workers in E-merge). The master alone moves
+// merged histograms between the pool's free list, the leaves of the block
+// being built and the retained parents, of which at most retainCap are
+// held at once.
 type histState struct {
-	m        *hist.Matrix
-	idx      []uint32
-	blockCap int
-	arenas   [][]int64
-	merged   []int64
+	m         *hist.Matrix
+	idx       []uint32
+	blockCap  int
+	arenas    [][]int64
+	free      [][]int64
+	retained  int
+	retainCap int
 }
 
 // setupHist creates the Hist engine's root leaf. The class-histogram pass
@@ -130,9 +152,25 @@ func (e *engine) binHist() error {
 		h.idx[i] = uint32(i)
 	}
 	h.blockCap = min(max(histArenaBudget/8/m.Stride, 1), histMaxBlock)
-	h.merged = make([]int64, h.blockCap*m.Stride)
+	if e.cfg.histBlock > 0 {
+		h.blockCap = e.cfg.histBlock
+	}
 	for w := range h.arenas {
 		h.arenas[w] = make([]int64, h.blockCap*m.Stride)
+	}
+	// Retained parents have disjoint rows, each at least histRetainMinRows,
+	// so more than ntuples/histRetainMinRows could never be held at once.
+	h.retainCap = min(histRetainBudget/8/m.Stride, e.ntuples/histRetainMinRows)
+	if e.cfg.histRetain != 0 {
+		h.retainCap = max(e.cfg.histRetain, 0)
+	}
+	// One merged histogram per leaf of a block plus the retained parents:
+	// every histogram the build will hold, allocated once.
+	nbuf := h.blockCap + h.retainCap
+	pool := make([]int64, nbuf*m.Stride)
+	h.free = make([][]int64, nbuf)
+	for i := range h.free {
+		h.free[i] = pool[i*m.Stride : (i+1)*m.Stride : (i+1)*m.Stride]
 	}
 	e.hs = h
 	for w, b := range busy {
@@ -153,7 +191,8 @@ func (e *engine) levelHist(g *group, id int, ln *trace.Lane, sc *scratch) bool {
 		block := frontier[lo:min(lo+h.blockCap, len(frontier))]
 
 		// E-local: accumulate this worker's contiguous row share of every
-		// leaf in the block into the private arena.
+		// leaf in the block that is not derived by subtraction into the
+		// private arena.
 		if !ferr.Failed() {
 			ferr.Set(e.histUnit("accum", id))
 		}
@@ -164,6 +203,9 @@ func (e *engine) levelHist(g *group, id int, ln *trace.Lane, sc *scratch) bool {
 				if err := e.cancelled(); err != nil {
 					ferr.Set(err)
 					break
+				}
+				if l.sib >= 0 {
+					continue // derived by subtraction in E-merge
 				}
 				cell := h.arenas[id][li*m.Stride : (li+1)*m.Stride]
 				zeroInt64(cell, m.Stride)
@@ -183,10 +225,12 @@ func (e *engine) levelHist(g *group, id int, ln *trace.Lane, sc *scratch) bool {
 			return false
 		}
 
-		// E-merge: grab attributes, sum the workers' local histograms and
+		// E-merge: grab attributes, sum the workers' local histograms into
+		// each accumulated leaf's merged histogram, then subtract each
+		// accumulated sibling from the retained parent histograms, and
 		// search each leaf's best split for the grabbed attribute.
-		// Attribute slices of merged and of l.cands are disjoint across
-		// workers.
+		// Attribute slices of the merged histograms and of l.cands are
+		// disjoint across workers.
 		for !ferr.Failed() {
 			a := int(g.eCtr.Add(1) - 1)
 			if a >= e.nattr {
@@ -197,17 +241,29 @@ func (e *engine) levelHist(g *group, id int, ln *trace.Lane, sc *scratch) bool {
 				break
 			}
 			t0 := time.Now()
-			for li, l := range block {
-				base := li * m.Stride
-				dst := m.Cell(h.merged[base:base+m.Stride], a)
-				copy(dst, m.Cell(h.arenas[0][base:base+m.Stride], a))
-				for _, arena := range h.arenas[1:P] {
-					src := m.Cell(arena[base:base+m.Stride], a)
-					for i := range dst {
-						dst[i] += src[i]
+			for _, derived := range [2]bool{false, true} {
+				for li, l := range block {
+					if (l.sib >= 0) != derived {
+						continue
 					}
+					dst := m.Cell(l.sum, a)
+					if derived {
+						src := m.Cell(block[l.sib].sum, a)
+						for i := range dst {
+							dst[i] -= src[i]
+						}
+					} else {
+						base := li * m.Stride
+						copy(dst, m.Cell(h.arenas[0][base:base+m.Stride], a))
+						for _, arena := range h.arenas[1:P] {
+							src := m.Cell(arena[base:base+m.Stride], a)
+							for i := range dst {
+								dst[i] += src[i]
+							}
+						}
+					}
+					l.cands[a] = e.histBestSplit(m, a, dst, l, sc)
 				}
-				l.cands[a] = e.histBestSplit(m, a, dst, l, sc)
 			}
 			ln.AddN(lvl, trace.PhaseEval, time.Since(t0), int64(len(block)))
 		}
@@ -217,19 +273,25 @@ func (e *engine) levelHist(g *group, id int, ln *trace.Lane, sc *scratch) bool {
 
 		// W: the master votes winners and attaches children; peers wait at
 		// the barrier (as in BASIC). Child class histograms come from the
-		// winning attribute's merged histogram — no data scan.
+		// winning attribute's merged histogram — no data scan. Each merged
+		// histogram is then retained for the children or returned to the
+		// pool, and the next block is handed its buffers.
 		if id == 0 && !ferr.Failed() {
-			for li, l := range block {
+			for _, l := range block {
 				if err := e.histUnit("winner", id); err != nil {
 					ferr.Set(err)
 					break
 				}
 				t0 := time.Now()
-				if err := e.histWinner(m, l, h.merged[li*m.Stride:(li+1)*m.Stride]); err != nil {
+				if err := e.histWinner(m, l); err != nil {
 					ferr.Set(err)
 					break
 				}
+				h.retire(l)
 				ln.Add(lvl, trace.PhaseWinner, time.Since(t0))
+			}
+			if !ferr.Failed() {
+				e.histPlan(frontier, lo+h.blockCap)
 			}
 			g.eCtr.Store(0)
 			g.sCtr.Store(0)
@@ -299,13 +361,13 @@ func (e *engine) histBestSplit(m *hist.Matrix, a int, counts []int64, l *leafSta
 // candidates, apply the minimum-gain and purity pre-tests, derive the
 // child class histograms from the winning attribute's merged histogram and
 // attach child nodes.
-func (e *engine) histWinner(m *hist.Matrix, l *leafState, arena []int64) error {
+func (e *engine) histWinner(m *hist.Matrix, l *leafState) error {
 	if !e.vote(l) {
 		return nil // leaf stays a leaf (no usable split)
 	}
 	best := l.win
 	leftBin := m.LeftBins(best)
-	counts := m.Cell(arena, best.Attr)
+	counts := m.Cell(l.sum, best.Attr)
 	histL := make([]int64, e.nclass)
 	histR := make([]int64, e.nclass)
 	for b := 0; b < m.NBins[best.Attr]; b++ {
@@ -330,4 +392,70 @@ func (e *engine) histWinner(m *hist.Matrix, l *leafState, arena []int64) error {
 	l.histLeft = leftBin
 	e.attachChildren(l, histL, histR)
 	return nil
+}
+
+// histPlan hands the frontier block starting at lo its merged histograms:
+// a pool buffer for every accumulated leaf, and the parent's retained
+// histogram for the larger of two siblings that share the block, which is
+// then derived by subtraction from the smaller (the left one on a tie).
+// Siblings split across blocks are both accumulated and their parent's
+// histogram goes back to the pool. Master only, before the block's E-local.
+func (e *engine) histPlan(frontier []*leafState, lo int) {
+	h := e.hs
+	if lo >= len(frontier) {
+		return
+	}
+	block := frontier[lo:min(lo+h.blockCap, len(frontier))]
+	for i := 0; i < len(block); i++ {
+		l := block[i]
+		l.sib = -1
+		p := l.parentSum
+		if p == nil {
+			l.sum = h.pop()
+			continue
+		}
+		// A retained parent's children are adjacent in the frontier, left
+		// first, so l is a left child and its sibling is frontier[lo+i+1].
+		r := frontier[lo+i+1]
+		l.parentSum, r.parentSum = nil, nil
+		h.retained--
+		if i+1 == len(block) {
+			h.free = append(h.free, p)
+			l.sum = h.pop()
+			continue
+		}
+		small, large, si := l, r, i
+		if r.n < l.n {
+			small, large, si = r, l, i+1
+		}
+		small.sum, small.sib = h.pop(), -1
+		large.sum, large.sib = p, si
+		if e.cfg.histSubtracted != nil {
+			e.cfg.histSubtracted.Add(1)
+		}
+		i++
+	}
+}
+
+// pop takes a merged histogram off the pool. The pool holds one buffer per
+// block leaf beyond the retained parents, so it is never empty here.
+func (h *histState) pop() []int64 {
+	b := h.free[len(h.free)-1]
+	h.free = h.free[:len(h.free)-1]
+	return b
+}
+
+// retire disposes of leaf l's merged histogram once W is done with it: a
+// split whose children both go on keeps it for their subtraction while the
+// pool has room and the larger child is big enough to be worth it;
+// otherwise it returns to the pool.
+func (h *histState) retire(l *leafState) {
+	if l.didSplit && !l.children[0].terminal && !l.children[1].terminal &&
+		max(l.children[0].n, l.children[1].n) >= histRetainMinRows && h.retained < h.retainCap {
+		l.children[0].parentSum, l.children[1].parentSum = l.sum, l.sum
+		h.retained++
+	} else {
+		h.free = append(h.free, l.sum)
+	}
+	l.sum = nil
 }

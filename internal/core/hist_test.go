@@ -146,7 +146,10 @@ func TestHistCancellation(t *testing.T) {
 // The contract mirrors the exact engines' — Build returns a prompt wrapped
 // error (never a wedged barrier, never a crashed process), leaks no
 // goroutines and no temp files, and a clean rerun still produces the
-// byte-identical reference tree.
+// byte-identical reference tree. Each fault lands either on the phase's
+// second unit or, for every phase after binning, on its first unit once a
+// leaf has been derived by histogram subtraction, so faults also hit
+// levels that hold retained parent histograms.
 func TestHistChaos(t *testing.T) {
 	tbl := synthTable(t, 7, 9, 4000, 51)
 	ref, _, err := Build(tbl, Config{Algorithm: Hist, Procs: 1})
@@ -157,49 +160,60 @@ func TestHistChaos(t *testing.T) {
 	phases := []string{"bin", "accum", "merge", "winner", "split"}
 	for _, phase := range phases {
 		for _, mode := range []string{"panic", "error"} {
-			phase, mode := phase, mode
-			t.Run(phase+"/"+mode, func(t *testing.T) {
-				base := runtime.NumGoroutine()
-				var hits atomic.Int32 // the hook runs on every worker
-				cfg := Config{
-					Algorithm: Hist,
-					Procs:     3,
-					histHook: func(ph string, worker int) error {
-						if ph != phase {
-							return nil
-						}
-						if hits.Add(1) != 2 { // let the first unit through
-							return nil
-						}
-						if mode == "panic" {
-							panic(fmt.Sprintf("chaos: %s unit dies", ph))
-						}
-						return injected
-					},
+			for _, late := range []bool{false, true} {
+				if late && phase == "bin" {
+					continue // binning ends before any leaf exists
 				}
-				_, _, err := Build(tbl, cfg)
-				if err == nil {
-					t.Fatalf("build survived a %s fault in %s", mode, phase)
+				phase, mode, late := phase, mode, late
+				name := phase + "/" + mode
+				if late {
+					name += "/after-subtraction"
 				}
-				if mode == "panic" && !errors.Is(err, ErrWorkerPanic) {
-					t.Fatalf("err = %v, want ErrWorkerPanic", err)
-				}
-				if mode == "error" && !errors.Is(err, injected) {
-					t.Fatalf("err = %v, want injected fault", err)
-				}
-				waitGoroutines(t, base)
-				checkNoTempDirs(t, os.TempDir())
+				t.Run(name, func(t *testing.T) {
+					base := runtime.NumGoroutine()
+					var hits atomic.Int32 // the hook runs on every worker
+					var sub atomic.Int64
+					cfg := Config{
+						Algorithm:      Hist,
+						Procs:          3,
+						histSubtracted: &sub,
+						histHook: func(ph string, worker int) error {
+							if ph != phase || late && sub.Load() == 0 {
+								return nil
+							}
+							if n := hits.Add(1); late && n != 1 || !late && n != 2 {
+								return nil
+							}
+							if mode == "panic" {
+								panic(fmt.Sprintf("chaos: %s unit dies", ph))
+							}
+							return injected
+						},
+					}
+					_, _, err := Build(tbl, cfg)
+					if err == nil {
+						t.Fatalf("build survived a %s fault in %s", mode, phase)
+					}
+					if mode == "panic" && !errors.Is(err, ErrWorkerPanic) {
+						t.Fatalf("err = %v, want ErrWorkerPanic", err)
+					}
+					if mode == "error" && !errors.Is(err, injected) {
+						t.Fatalf("err = %v, want injected fault", err)
+					}
+					waitGoroutines(t, base)
+					checkNoTempDirs(t, os.TempDir())
 
-				// The failure must not have corrupted anything reachable: a
-				// clean rebuild still matches the reference byte for byte.
-				tr, _, err := Build(tbl, Config{Algorithm: Hist, Procs: 3})
-				if err != nil {
-					t.Fatalf("clean rebuild failed: %v", err)
-				}
-				if !tree.Equal(ref, tr) {
-					t.Fatalf("clean rebuild differs from reference: %s", tree.Diff(ref, tr))
-				}
-			})
+					// The failure must not have corrupted anything reachable: a
+					// clean rebuild still matches the reference byte for byte.
+					tr, _, err := Build(tbl, Config{Algorithm: Hist, Procs: 3})
+					if err != nil {
+						t.Fatalf("clean rebuild failed: %v", err)
+					}
+					if !tree.Equal(ref, tr) {
+						t.Fatalf("clean rebuild differs from reference: %s", tree.Diff(ref, tr))
+					}
+				})
+			}
 		}
 	}
 }

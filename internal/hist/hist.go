@@ -220,16 +220,23 @@ func (s *ContSearch) Best(attr int, counts []int64, cuts []float64, total []int6
 	for k := range cuts {
 		// Bins 0..k lie strictly below cuts[k]; fold bin k in and test the
 		// boundary after it.
+		var nb int64
 		for j := 0; j < nclass; j++ {
 			c := counts[k*nclass+j]
 			s.below[j] += c
-			nBelow += c
+			nb += c
+		}
+		if nb == 0 {
+			// An empty bin's boundary splits the rows exactly as the
+			// previous boundary did, and a tie never wins.
+			continue
+		}
+		nBelow += nb
+		if nBelow >= n {
+			break // every row lies below: no later boundary splits
 		}
 		nl := nBelow
 		nr := n - nBelow
-		if nl == 0 || nr == 0 {
-			continue
-		}
 		for j := 0; j < nclass; j++ {
 			s.above[j] = total[j] - s.below[j]
 		}

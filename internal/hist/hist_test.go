@@ -170,6 +170,79 @@ func TestPartitionStableKeepsOrderAndCounts(t *testing.T) {
 	}
 }
 
+// bruteBest computes the split gini of every cut directly from the
+// histogram and keeps the best under the deterministic Better order.
+func bruteBest(counts []int64, cuts []float64, total []int64) split.Candidate {
+	nclass := len(total)
+	var n int64
+	for _, c := range total {
+		n += c
+	}
+	best := split.Candidate{Gini: math.Inf(1)}
+	for k, c := range cuts {
+		left := make([]int64, nclass)
+		right := append([]int64(nil), total...)
+		var nl int64
+		for b := 0; b <= k; b++ {
+			for j := 0; j < nclass; j++ {
+				left[j] += counts[b*nclass+j]
+				right[j] -= counts[b*nclass+j]
+				nl += counts[b*nclass+j]
+			}
+		}
+		nr := n - nl
+		if nl == 0 || nr == 0 {
+			continue
+		}
+		cand := split.Candidate{
+			Attr: 0, Kind: dataset.Continuous, Threshold: c,
+			Gini:  split.SplitGini(left, right, nl, nr),
+			NLeft: nl, NRight: nr, Valid: true,
+		}
+		if cand.Better(best) {
+			best = cand
+		}
+	}
+	return best
+}
+
+// TestContSearchSparseBins holds Best's empty-bin skip and early stop to
+// the brute force on histograms where most bins are empty, including
+// leading and trailing runs, over 2–4 classes: the frontier's small leaves
+// look like this.
+func TestContSearchSparseBins(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var cs ContSearch
+	for trial := 0; trial < 500; trial++ {
+		nclass := 2 + rng.Intn(3)
+		nbins := 2 + rng.Intn(64)
+		cuts := make([]float64, nbins-1)
+		for k := range cuts {
+			cuts[k] = float64(k) + 0.5
+		}
+		counts := make([]int64, nbins*nclass)
+		total := make([]int64, nclass)
+		var n int64
+		for b := 0; b < nbins; b++ {
+			if rng.Intn(5) != 0 {
+				continue // ~80% of bins empty
+			}
+			for j := 0; j < nclass; j++ {
+				c := int64(rng.Intn(3))
+				counts[b*nclass+j] = c
+				total[j] += c
+				n += c
+			}
+		}
+		got := cs.Best(0, counts, cuts, total, n)
+		want := bruteBest(counts, cuts, total)
+		if got.Valid != want.Valid || math.Float64bits(got.Gini) != math.Float64bits(want.Gini) ||
+			got.Threshold != want.Threshold || got.NLeft != want.NLeft || got.NRight != want.NRight {
+			t.Fatalf("trial %d: Best() = %+v, brute force = %+v", trial, got, want)
+		}
+	}
+}
+
 func TestContSearchMatchesBruteForce(t *testing.T) {
 	const n = 2000
 	m, _, _, cls := buildTestMatrix(t, n, 5)
@@ -189,32 +262,7 @@ func TestContSearchMatchesBruteForce(t *testing.T) {
 		t.Fatal("no valid candidate on a mixed node")
 	}
 
-	// Brute force: for every cut, compute the split gini directly from the
-	// histogram and keep the best under the same deterministic order.
-	counts := m.Cell(arena, 0)
-	best := split.Candidate{Gini: math.Inf(1)}
-	for k, c := range m.Cuts[0] {
-		left := make([]int64, 2)
-		for b := 0; b <= k; b++ {
-			for j := 0; j < 2; j++ {
-				left[j] += counts[b*2+j]
-			}
-		}
-		right := []int64{total[0] - left[0], total[1] - left[1]}
-		nl := left[0] + left[1]
-		nr := right[0] + right[1]
-		if nl == 0 || nr == 0 {
-			continue
-		}
-		cand := split.Candidate{
-			Attr: 0, Kind: dataset.Continuous, Threshold: c,
-			Gini:  split.SplitGini(left, right, nl, nr),
-			NLeft: nl, NRight: nr, Valid: true,
-		}
-		if cand.Better(best) {
-			best = cand
-		}
-	}
+	best := bruteBest(m.Cell(arena, 0), m.Cuts[0], total)
 	if got.Threshold != best.Threshold || got.Gini != best.Gini ||
 		got.NLeft != best.NLeft || got.NRight != best.NRight {
 		t.Fatalf("Best() = %+v, brute force = %+v", got, best)

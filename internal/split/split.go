@@ -13,6 +13,7 @@ package split
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"repro/internal/alist"
@@ -322,8 +323,10 @@ type CatEval struct {
 	// Reusable subset-search scratch, so Finish allocates only when a new
 	// best subset is materialized.
 	present []int32
+	pc      []int64 // present-major class counts, see gather
 	left    []int64
 	right   []int64
+	trial   []int64 // greedy's trial left/right histograms
 	inLeft  []bool
 }
 
@@ -418,74 +421,109 @@ func (e *CatEval) Finish() Candidate {
 	return e.greedy(present)
 }
 
-// evalSubset computes the split gini of putting exactly the categories at
-// present indices i with member(i) on the left. The left/right histograms
-// live in the evaluator's scratch, so repeated evaluations (2^m masks, or
-// m² greedy trials) allocate nothing. member is an index predicate, not a
-// closure allocated per mask: callers pass a mask or the inLeft scratch via
-// the two wrappers below.
-func (e *CatEval) evalSubset(present []int32, isMask bool, mask uint64) (g float64, nl, nr int64) {
-	e.left = resizeZero(e.left, e.nclasses)
-	if cap(e.right) < e.nclasses {
-		e.right = make([]int64, e.nclasses)
-	}
-	left, right := e.left, e.right[:e.nclasses]
-	copy(right, e.total)
+// gather copies the class counts of each present category into the
+// present-major scratch pc (pc[i*nclasses+j] is class j of present[i]), so
+// every incremental search step below reads one contiguous row, and resets
+// the left/right histograms to the empty-left partition. Nothing is
+// allocated once the scratch is sized.
+func (e *CatEval) gather(present []int32) (pc, left, right []int64) {
+	nc := e.nclasses
+	e.pc = resizeZero(e.pc, len(present)*nc)
 	for i, cat := range present {
-		if isMask {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-		} else if !e.inLeft[i] {
-			continue
+		for j := 0; j < nc; j++ {
+			e.pc[i*nc+j] = e.counts[j*e.card+int(cat)]
 		}
-		for j := 0; j < e.nclasses; j++ {
-			c := e.counts[j*e.card+int(cat)]
+	}
+	e.left = resizeZero(e.left, nc)
+	if cap(e.right) < nc {
+		e.right = make([]int64, nc)
+	}
+	e.right = e.right[:nc]
+	copy(e.right, e.total)
+	return e.pc, e.left, e.right
+}
+
+// move shifts present category row (its class counts) from right to left
+// when in is true, from left to right otherwise.
+func move(left, right, row []int64, in bool) {
+	if in {
+		for j, c := range row {
 			left[j] += c
 			right[j] -= c
 		}
-		nl += e.catTot[cat]
+		return
 	}
-	nr = e.n - nl
-	return SplitGini(left, right, nl, nr), nl, nr
+	for j, c := range row {
+		left[j] -= c
+		right[j] += c
+	}
+}
+
+// subset materializes the left-branch set: the present categories whose
+// index i satisfies member.
+func (e *CatEval) subset(present []int32, member func(i int) bool) CatSet {
+	set := NewCatSet(e.card)
+	for i, cat := range present {
+		if member(i) {
+			set.Add(cat)
+		}
+	}
+	return set
 }
 
 // enumerate tries every distinct bipartition of the present categories.
-// Masks with bit 0 set cover each unordered bipartition exactly once.
+// Masks with bit 0 set cover each unordered bipartition exactly once. They
+// are walked in Gray-code order — step k visits mask 1|g<<1 with
+// g = k^(k>>1) — so consecutive masks differ in one category, and each step
+// moves that category between the left and right histograms at O(classes)
+// cost instead of re-summing every category. The histograms are integer
+// sums, so every mask's gini is bit-identical to a from-scratch sum. The
+// winner is the lowest gini, ties going to the smallest mask, exactly as
+// the ascending-mask scan's strict comparison chose.
 func (e *CatEval) enumerate(present []int32) Candidate {
 	best := Candidate{Attr: e.attr, Kind: dataset.Categorical, Gini: math.Inf(1)}
 	m := len(present)
-	for mask := uint64(1); mask < 1<<uint(m); mask += 2 { // bit 0 always set
-		if mask == (1<<uint(m))-1 {
-			continue // all present on the left ⇒ empty right
-		}
-		g, nl, nr := e.evalSubset(present, true, mask)
-		if nl == 0 || nr == 0 {
-			continue
-		}
-		// Ties break toward the earlier (smaller) mask because Better is
-		// strict, so a later mask only wins with strictly lower gini.
-		// Materializing the subset for every mask would be wasteful; only
-		// build it when the candidate wins.
-		if best.Valid && g >= best.Gini {
-			continue
-		}
-		set := NewCatSet(e.card)
-		for i, cat := range present {
-			if mask&(1<<uint(i)) != 0 {
-				set.Add(cat)
+	nc := e.nclasses
+	pc, left, right := e.gather(present)
+	move(left, right, pc[:nc], true)
+	nl := e.catTot[present[0]]
+	full := uint64(1)<<uint(m) - 1
+	var bestMask uint64
+	for k := uint64(0); k < 1<<uint(m-1); k++ {
+		if k > 0 {
+			i := bits.TrailingZeros64(k) + 1
+			in := (k^k>>1)&(1<<uint(i-1)) != 0
+			move(left, right, pc[i*nc:(i+1)*nc], in)
+			if in {
+				nl += e.catTot[present[i]]
+			} else {
+				nl -= e.catTot[present[i]]
 			}
 		}
-		best.Gini, best.Subset = g, set
+		mask := 1 | (k^k>>1)<<1
+		nr := e.n - nl
+		if mask == full || nl == 0 || nr == 0 {
+			continue // all present on the left ⇒ empty right
+		}
+		g := SplitGini(left, right, nl, nr)
+		if best.Valid && (g > best.Gini || g == best.Gini && mask > bestMask) {
+			continue
+		}
+		best.Gini, bestMask = g, mask
 		best.NLeft, best.NRight = nl, nr
 		best.Valid = true
+	}
+	if best.Valid {
+		best.Subset = e.subset(present, func(i int) bool { return bestMask&(1<<uint(i)) != 0 })
 	}
 	return best
 }
 
 // greedy grows the left subset one category at a time, always adding the
 // category that most reduces the split gini, stopping when no addition
-// improves it (SPRINT's greedy subsetting).
+// improves it (SPRINT's greedy subsetting). Each trial scores the current
+// left histogram plus one category, so a trial costs O(classes); ties go
+// to the lowest present index because the comparison is strict.
 func (e *CatEval) greedy(present []int32) Candidate {
 	if cap(e.inLeft) < len(present) {
 		e.inLeft = make([]bool, len(present))
@@ -495,45 +533,44 @@ func (e *CatEval) greedy(present []int32) Candidate {
 		inLeft[i] = false
 	}
 	e.inLeft = inLeft
-	bestGini := math.Inf(1)
-	var bestCand Candidate
+	nc := e.nclasses
+	pc, left, right := e.gather(present)
+	e.trial = resizeZero(e.trial, 2*nc)
+	tl, tr := e.trial[:nc], e.trial[nc:]
+	best := Candidate{Attr: e.attr, Kind: dataset.Categorical, Gini: math.Inf(1)}
+	var nl int64
 	for {
 		improved := -1
-		roundBest := bestGini
-		var roundCand Candidate
-		for i := range present {
+		roundBest := best.Gini
+		var roundNL int64
+		for i, cat := range present {
 			if inLeft[i] {
 				continue
 			}
-			inLeft[i] = true
-			g, nl, nr := e.evalSubset(present, false, 0)
-			inLeft[i] = false
-			if nl == 0 || nr == 0 {
+			row := pc[i*nc : (i+1)*nc]
+			for j, c := range row {
+				tl[j] = left[j] + c
+				tr[j] = right[j] - c
+			}
+			tnl := nl + e.catTot[cat]
+			tnr := e.n - tnl
+			if tnl == 0 || tnr == 0 {
 				continue
 			}
-			if g < roundBest {
-				roundBest = g
-				improved = i
-				roundCand = Candidate{Attr: e.attr, Kind: dataset.Categorical,
-					Gini: g, NLeft: nl, NRight: nr, Valid: true}
+			if g := SplitGini(tl, tr, tnl, tnr); g < roundBest {
+				roundBest, roundNL, improved = g, tnl, i
 			}
 		}
 		if improved < 0 {
 			break
 		}
 		inLeft[improved] = true
-		bestGini = roundBest
-		set := NewCatSet(e.card)
-		for i, cat := range present {
-			if inLeft[i] {
-				set.Add(cat)
-			}
-		}
-		roundCand.Subset = set
-		bestCand = roundCand
+		move(left, right, pc[improved*nc:(improved+1)*nc], true)
+		nl = roundNL
+		best.Gini, best.NLeft, best.NRight, best.Valid = roundBest, nl, e.n-nl, true
 	}
-	if !bestCand.Valid {
-		return Candidate{Attr: e.attr, Kind: dataset.Categorical, Gini: math.Inf(1)}
+	if best.Valid {
+		best.Subset = e.subset(present, func(i int) bool { return inLeft[i] })
 	}
-	return bestCand
+	return best
 }
