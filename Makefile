@@ -77,9 +77,10 @@ benchmark-module:
 
 # Native fuzzing, outside verify: the model reader, the CSV loaders, the
 # predict/ingest body decoder against encoding/json, the cluster's
-# version-vector wire form and the incremental categorical split search
-# against its re-summing reference, each for FUZZTIME (tier-1 `go test`
-# already runs their seeds).
+# version-vector wire form, the incremental categorical split search
+# against its re-summing reference and the scored split searches against
+# their float-only references, each for FUZZTIME (tier-1 `go test` already
+# runs their seeds).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseVersion$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzCatEvalSearch$$' -fuzztime $(FUZZTIME) ./internal/split/
+	$(GO) test -run '^$$' -fuzz '^FuzzScorerMatchesFloat$$' -fuzztime $(FUZZTIME) ./internal/split/
 
 # The build-phase observability sweep: real instrumented builds over the
 # paper's F1/F7 pair plus the forest build/serve rows, written to the

@@ -108,68 +108,54 @@ func NewAppender(st Store, attr, slot int, off int64, n int) *Appender {
 
 // Reset points the appender at a new region, retaining the internal buffer
 // so a worker can reuse one appender across split units without allocating.
-// The buffer is grown when a previous region was smaller (in particular a
-// zero-record region must not pin the capacity at zero, or the staging loop
-// in AppendChunk could never make progress); it converges to AppenderChunk
-// and is never reallocated after that.
+// The buffer always holds AppenderChunk records, whatever the region's size:
+// Stage hands out its free tail, and a staging kernel that writes both of a
+// split's sides at every record needs room on each side even when one
+// region is tiny.
 func (ap *Appender) Reset(st Store, attr, slot int, off int64, n int) {
 	ap.st, ap.attr, ap.slot = st, attr, slot
 	ap.off, ap.remaining = off, n
-	if want := min(n, AppenderChunk); cap(ap.buf) < want {
-		ap.buf = make([]Record, 0, want)
+	if cap(ap.buf) < AppenderChunk {
+		ap.buf = make([]Record, 0, AppenderChunk)
 	} else {
 		ap.buf = ap.buf[:0]
 	}
 }
 
-// Append adds one record, flushing when the internal buffer fills.
+// Append adds one record; a full buffer is flushed before the next record
+// is staged, and Close flushes the rest.
 func (ap *Appender) Append(r Record) error {
-	if ap.remaining <= 0 {
-		return fmt.Errorf("alist: appender region overflow (attr %d slot %d)", ap.attr, ap.slot)
+	dst, err := ap.Stage()
+	if err != nil {
+		return err
 	}
-	ap.remaining--
-	ap.buf = append(ap.buf, r)
-	if len(ap.buf) >= AppenderChunk || cap(ap.buf) == len(ap.buf) {
-		return ap.Flush()
-	}
-	return nil
+	dst[0] = r
+	return ap.Commit(1)
 }
 
-// AppendChunk adds a run of records with bulk copies. Runs arriving while
-// the buffer is empty and at least AppenderChunk long skip the buffer
-// entirely: they are written straight from the caller's slice, which for
-// MemStore is a single segment-to-segment memmove. Shorter runs are staged
-// through the buffer so the store still sees chunk-sized writes.
-func (ap *Appender) AppendChunk(recs []Record) error {
-	if len(recs) > ap.remaining {
+// Stage returns the free tail of the internal buffer, flushing it first when
+// it is full, so the result always holds at least one record. A caller
+// writes records into it and then Commits how many of them, in order, belong
+// to the region; whatever lies past that count is scratch and is
+// overwritten by the next Stage.
+func (ap *Appender) Stage() ([]Record, error) {
+	if len(ap.buf) == cap(ap.buf) {
+		if err := ap.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return ap.buf[len(ap.buf):cap(ap.buf)], nil
+}
+
+// Commit appends the first k records of the last Stage to the region. It
+// fails, appending nothing, when the region has room for fewer than k.
+func (ap *Appender) Commit(k int) error {
+	if k > ap.remaining {
 		return fmt.Errorf("alist: appender region overflow by %d records (attr %d slot %d)",
-			len(recs)-ap.remaining, ap.attr, ap.slot)
+			k-ap.remaining, ap.attr, ap.slot)
 	}
-	ap.remaining -= len(recs)
-	for len(recs) > 0 {
-		if len(ap.buf) == 0 && len(recs) >= AppenderChunk {
-			if err := ap.st.WriteAt(ap.attr, ap.slot, ap.off, recs); err != nil {
-				return err
-			}
-			ap.off += int64(len(recs))
-			return nil
-		}
-		space := cap(ap.buf) - len(ap.buf)
-		if space == 0 {
-			if err := ap.Flush(); err != nil {
-				return err
-			}
-			continue
-		}
-		k := min(space, len(recs))
-		ap.buf = append(ap.buf, recs[:k]...)
-		recs = recs[k:]
-		if len(ap.buf) >= AppenderChunk {
-			if err := ap.Flush(); err != nil {
-				return err
-			}
-		}
-	}
+	ap.remaining -= k
+	ap.buf = ap.buf[:len(ap.buf)+k]
 	return nil
 }
 

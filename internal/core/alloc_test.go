@@ -14,6 +14,11 @@ import (
 // slot 0, a sealed probe, and a scratch whose buffers have been through one
 // E and one S unit (the first unit sizes the arenas; every later unit must
 // not allocate).
+//
+// The probe routes by value (value below the list's lower octile goes left:
+// the winning attribute's list, two long runs) or, for a random fixture, by
+// a coin per record: the shape of every attribute that did not win the
+// split, whose destinations flip at nearly every record.
 type allocFixture struct {
 	st    *alist.MemStore
 	recs  []alist.Record
@@ -23,7 +28,7 @@ type allocFixture struct {
 	sc    *scratch
 }
 
-func newAllocFixture(tb testing.TB, n int) *allocFixture {
+func newAllocFixture(tb testing.TB, n int, random bool) *allocFixture {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
 	recs := make([]alist.Record, n)
@@ -52,15 +57,20 @@ func newAllocFixture(tb testing.TB, n int) *allocFixture {
 		tb.Fatal(err)
 	}
 	var nl int64
-	median := float64(n / 8)
-	for _, r := range recs {
-		if r.Value < median {
+	left := make([]bool, n)
+	octile := float64(n / 8)
+	for i, r := range recs {
+		left[i] = r.Value < octile
+		if random {
+			left[i] = rng.Intn(2) == 0
+		}
+		if left[i] {
 			nl++
 		}
 	}
 	prb := fac.ForLeaf(nl, int64(n)-nl)
-	for _, r := range recs {
-		prb.Set(r.Tid, r.Value < median)
+	for i, r := range recs {
+		prb.Set(r.Tid, left[i])
 	}
 	prb.Seal()
 
@@ -69,7 +79,7 @@ func newAllocFixture(tb testing.TB, n int) *allocFixture {
 		sc.cont.PushChunk(recs)
 		return nil
 	}
-	sc.splitScan = sc.splitRuns
+	sc.splitScan = sc.splitPartition
 	f := &allocFixture{st: st, recs: recs, total: total, prb: prb, nl: nl, sc: sc}
 	// Warm up: first units size every arena buffer.
 	f.runEUnit(tb)
@@ -105,7 +115,7 @@ func (f *allocFixture) runSUnit(tb testing.TB) {
 	sc.apL.Reset(f.st, 0, 1, offL, int(f.nl))
 	sc.apR.Reset(f.st, 0, 1, offR, n-int(f.nl))
 	sc.useL, sc.useR = true, true
-	sc.armProbe(f.prb, false)
+	sc.armProbe(f.prb)
 	if err := f.st.Scan(0, 0, 0, n, sc.splitScan); err != nil {
 		tb.Fatal(err)
 	}
@@ -122,14 +132,19 @@ func (f *allocFixture) runSUnit(tb testing.TB) {
 
 // TestWorkUnitAllocationBudget is the allocation-budget gate wired into
 // `make verify`: after warm-up, E and S work units on MemStore must touch
-// the allocator zero times.
+// the allocator zero times, whether S moves two long runs or records whose
+// destination flips at random.
 func TestWorkUnitAllocationBudget(t *testing.T) {
-	f := newAllocFixture(t, 20000)
+	f := newAllocFixture(t, 20000, false)
 	if avg := testing.AllocsPerRun(10, func() { f.runEUnit(t) }); avg != 0 {
 		t.Errorf("E work unit allocates %.1f objects/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(10, func() { f.runSUnit(t) }); avg != 0 {
 		t.Errorf("S work unit allocates %.1f objects/op, want 0", avg)
+	}
+	r := newAllocFixture(t, 20000, true)
+	if avg := testing.AllocsPerRun(10, func() { r.runSUnit(t) }); avg != 0 {
+		t.Errorf("S work unit with random destinations allocates %.1f objects/op, want 0", avg)
 	}
 }
 
@@ -161,7 +176,7 @@ func TestBuildMallocsBudget(t *testing.T) {
 }
 
 func BenchmarkEUnit(b *testing.B) {
-	f := newAllocFixture(b, 100000)
+	f := newAllocFixture(b, 100000, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -169,11 +184,22 @@ func BenchmarkEUnit(b *testing.B) {
 	}
 }
 
+// BenchmarkSUnit splits a 100K-record list: "runs" is the winning
+// attribute's shape (two long runs), "random" the shape of every other
+// attribute, where most S time goes.
 func BenchmarkSUnit(b *testing.B) {
-	f := newAllocFixture(b, 100000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.runSUnit(b)
+	for _, random := range []bool{false, true} {
+		name := "runs"
+		if random {
+			name = "random"
+		}
+		b.Run(name, func(b *testing.B) {
+			f := newAllocFixture(b, 100000, random)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.runSUnit(b)
+			}
+		})
 	}
 }

@@ -577,9 +577,10 @@ func (e *engine) registerChildren(l *leafState, place func(side int) int) error 
 
 // splitLeafAttr is one S work unit: route attribute a's records of leaf l to
 // its children using the probe, preserving order. Records destined for
-// terminal (pure) children are dropped. The routing itself is the run-length
-// kernel in scratch.splitRuns; this wrapper arms the worker's appenders over
-// the children's reserved regions and closes them (verifying exact fill).
+// terminal (pure) children are dropped. The routing itself is the
+// branch-free kernel in scratch.splitPartition; this wrapper arms the
+// worker's appenders over the children's reserved regions and closes them
+// (verifying exact fill).
 func (e *engine) splitLeafAttr(l *leafState, a int, sc *scratch) error {
 	if err := e.cancelled(); err != nil {
 		return err
@@ -596,7 +597,7 @@ func (e *engine) splitLeafAttr(l *leafState, a int, sc *scratch) error {
 		sc.apR.Reset(e.store, a, c.segs[a].slot, c.segs[a].off, int(c.n))
 		sc.useR = true
 	}
-	sc.armProbe(l.prb, e.probes.Relabels())
+	sc.armProbe(l.prb)
 	sr := l.segs[a]
 	if err := e.scan(sc, a, sr.slot, sr.off, int(l.n), sc.splitScan); err != nil {
 		return err

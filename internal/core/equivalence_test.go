@@ -10,41 +10,95 @@ import (
 	"repro/internal/probe"
 )
 
+// splitShape decides the destination of the i-th record of n.
+type splitShape struct {
+	name string
+	left func(i, n int, rng *rand.Rand) bool
+}
+
+// flipAt sends records before position k left and the rest right: one
+// destination flip, which lands at a staging-buffer edge when k is near
+// alist.AppenderChunk.
+func flipAt(name string, k int) splitShape {
+	return splitShape{name, func(i, n int, rng *rand.Rand) bool { return i < k }}
+}
+
+// shortRuns alternates sides in runs of 1–3 records.
+func shortRuns() splitShape {
+	left, runLeft := true, 0
+	return splitShape{"runs1to3", func(i, n int, rng *rand.Rand) bool {
+		if runLeft == 0 {
+			left, runLeft = !left, 1+rng.Intn(3)
+		}
+		runLeft--
+		return left
+	}}
+}
+
+var alternating = splitShape{"alternating", func(i, n int, rng *rand.Rand) bool { return i%2 == 0 }}
+
+// oddChunkStore re-delivers every Scan of the wrapped store in chunks whose
+// sizes cycle through sizes, so a split kernel sees chunk edges away from
+// the store's and the appenders' powers of two.
+type oddChunkStore struct {
+	alist.Store
+	sizes []int
+}
+
+func (s oddChunkStore) Scan(attr, slot int, off int64, n int, fn func([]alist.Record) error) error {
+	k := 0
+	return s.Store.Scan(attr, slot, off, n, func(recs []alist.Record) error {
+		for len(recs) > 0 {
+			c := min(len(recs), s.sizes[k%len(s.sizes)])
+			k++
+			if err := fn(recs[:c]); err != nil {
+				return err
+			}
+			recs = recs[c:]
+		}
+		return nil
+	})
+}
+
 // TestSplitKernelMatchesPerRecordReference is the cross-kernel equivalence
-// property: the run-length split kernel (scratch.splitRuns, bulk AppendChunk
-// moves, raw-bit probe access) must produce byte-identical child lists to a
-// naive per-record reference (interface Left/Remap calls, per-record
-// Append), for every probe design and both storage backends, across run
-// shapes from fully alternating to a single run.
+// property: the branch-free split kernel (scratch.splitPartition, staging
+// in the appenders' buffers, raw-bit probe access, branch-free relabeling)
+// must produce byte-identical child lists to a naive per-record reference
+// (interface Left/Remap calls, per-record Append), for every probe design,
+// both storage backends and file-store scans in odd-sized chunks, across
+// shapes from fully alternating to a single run, with destination flips at
+// the staging buffer's edges.
 func TestSplitKernelMatchesPerRecordReference(t *testing.T) {
 	kinds := []probe.Kind{probe.GlobalBit, probe.LeafHash, probe.LeafRelabel}
-	shapes := []struct {
-		name string
-		// left decides the destination of the i-th record of n.
-		left func(i, n int, rng *rand.Rand) bool
-	}{
-		{"random", func(i, n int, rng *rand.Rand) bool { return rng.Intn(2) == 0 }},
-		{"alternating", func(i, n int, rng *rand.Rand) bool { return i%2 == 0 }},
-		{"allLeft", func(i, n int, rng *rand.Rand) bool { return true }},
-		{"halves", func(i, n int, rng *rand.Rand) bool { return i < n/2 }},
-		{"longRuns", func(i, n int, rng *rand.Rand) bool { return (i/97)%2 == 0 }},
+	c := alist.AppenderChunk
+	shapes := []func() splitShape{
+		func() splitShape {
+			return splitShape{"random", func(i, n int, rng *rand.Rand) bool { return rng.Intn(2) == 0 }}
+		},
+		func() splitShape { return alternating },
+		func() splitShape { return splitShape{"allLeft", func(i, n int, rng *rand.Rand) bool { return true }} },
+		func() splitShape { return splitShape{"halves", func(i, n int, rng *rand.Rand) bool { return i < n/2 }} },
+		func() splitShape {
+			return splitShape{"longRuns", func(i, n int, rng *rand.Rand) bool { return (i/97)%2 == 0 }}
+		},
+		shortRuns,
+		func() splitShape { return flipAt("flipAtChunk-1", c-1) },
+		func() splitShape { return flipAt("flipAtChunk", c) },
+		func() splitShape { return flipAt("flipAtChunk+1", c+1) },
 	}
 	for _, kind := range kinds {
-		for _, disk := range []bool{false, true} {
-			for _, shape := range shapes {
-				storage := "mem"
-				if disk {
-					storage = "disk"
-				}
+		for _, storage := range []string{"mem", "disk", "diskOddChunks"} {
+			for _, mk := range shapes {
+				shape := mk()
 				t.Run(fmt.Sprintf("%v/%s/%s", kind, storage, shape.name), func(t *testing.T) {
-					runSplitKernelCase(t, kind, disk, shape.left)
+					runSplitKernelCase(t, kind, storage, shape.left)
 				})
 			}
 		}
 	}
 }
 
-func runSplitKernelCase(t *testing.T, kind probe.Kind, disk bool,
+func runSplitKernelCase(t *testing.T, kind probe.Kind, storage string,
 	leftOf func(i, n int, rng *rand.Rand) bool) {
 	t.Helper()
 	const n = 9000 // > 2×AppenderChunk so the bulk bypass path is exercised
@@ -103,12 +157,15 @@ func runSplitKernelCase(t *testing.T, kind probe.Kind, disk bool,
 
 	// Kernel child lists, through a real store.
 	var st alist.Store = alist.NewMemStore(1, 2)
-	if disk {
+	if storage != "mem" {
 		fs, err := alist.NewFileStore(t.TempDir(), 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st = fs
+	}
+	if storage == "diskOddChunks" {
+		st = oddChunkStore{st, []int{1, 7, alist.AppenderChunk - 1, 3, alist.AppenderChunk + 1, 13}}
 	}
 	defer st.Close()
 	if _, err := st.Reserve(0, 0, n); err != nil {
@@ -127,11 +184,11 @@ func runSplitKernelCase(t *testing.T, kind probe.Kind, disk bool,
 	}
 
 	sc := &scratch{}
-	sc.splitScan = sc.splitRuns
+	sc.splitScan = sc.splitPartition
 	sc.apL.Reset(st, 0, 1, offL, int(nl))
 	sc.apR.Reset(st, 0, 1, offR, int(nr))
 	sc.useL, sc.useR = true, true
-	sc.armProbe(prb, fac.Relabels())
+	sc.armProbe(prb)
 	if err := st.Scan(0, 0, 0, n, sc.splitScan); err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +221,21 @@ func runSplitKernelCase(t *testing.T, kind probe.Kind, disk bool,
 }
 
 // TestSplitKernelDropsTerminalChildren: records routed to a disarmed side
-// (pure child, no storage) must be skipped without disturbing the other side.
+// (pure child, no storage) must be skipped without disturbing the other
+// side, whichever side is terminal and whether destinations are random or
+// flip at every record.
 func TestSplitKernelDropsTerminalChildren(t *testing.T) {
+	random := splitShape{"random", func(i, n int, rng *rand.Rand) bool { return rng.Intn(3) > 0 }}
+	for _, shape := range []splitShape{random, alternating} {
+		for _, keepLeft := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/keepLeft=%v", shape.name, keepLeft), func(t *testing.T) {
+				runDropTerminalCase(t, shape, keepLeft)
+			})
+		}
+	}
+}
+
+func runDropTerminalCase(t *testing.T, shape splitShape, keepLeft bool) {
 	const n = 5000
 	rng := rand.New(rand.NewSource(99))
 	recs := make([]alist.Record, n)
@@ -176,7 +246,7 @@ func TestSplitKernelDropsTerminalChildren(t *testing.T) {
 	var nl int64
 	left := make([]bool, n)
 	for i := range left {
-		left[i] = rng.Intn(3) > 0
+		left[i] = shape.left(i, n, rng)
 		if left[i] {
 			nl++
 		}
@@ -186,6 +256,10 @@ func TestSplitKernelDropsTerminalChildren(t *testing.T) {
 		prb.Set(r.Tid, left[i])
 	}
 	prb.Seal()
+	nkeep := nl
+	if !keepLeft {
+		nkeep = n - nl
+	}
 
 	st := alist.NewMemStore(1, 2)
 	if _, err := st.Reserve(0, 0, n); err != nil {
@@ -194,27 +268,31 @@ func TestSplitKernelDropsTerminalChildren(t *testing.T) {
 	if err := st.WriteAt(0, 0, 0, recs); err != nil {
 		t.Fatal(err)
 	}
-	offL, err := st.Reserve(0, 1, int(nl))
+	off, err := st.Reserve(0, 1, int(nkeep))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sc := &scratch{}
-	sc.splitScan = sc.splitRuns
-	sc.apL.Reset(st, 0, 1, offL, int(nl))
-	sc.useL, sc.useR = true, false // right child is terminal
-	sc.armProbe(prb, false)
+	sc.splitScan = sc.splitPartition
+	ap := &sc.apL
+	if !keepLeft {
+		ap = &sc.apR
+	}
+	ap.Reset(st, 0, 1, off, int(nkeep))
+	sc.useL, sc.useR = keepLeft, !keepLeft // the other child is terminal
+	sc.armProbe(prb)
 	if err := st.Scan(0, 0, 0, n, sc.splitScan); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.apL.Close(); err != nil {
+	if err := ap.Close(); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
-	if err := st.Scan(0, 1, offL, int(nl), func(chunk []alist.Record) error {
+	if err := st.Scan(0, 1, off, int(nkeep), func(chunk []alist.Record) error {
 		for _, r := range chunk {
-			if !left[r.Tid] {
-				t.Fatalf("right-bound tid %d leaked into the left child", r.Tid)
+			if left[r.Tid] != keepLeft {
+				t.Fatalf("tid %d of the terminal child leaked into the kept one", r.Tid)
 			}
 			i++
 		}
@@ -222,7 +300,7 @@ func TestSplitKernelDropsTerminalChildren(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if int64(i) != nl {
-		t.Fatalf("left child holds %d records, want %d", i, nl)
+	if int64(i) != nkeep {
+		t.Fatalf("kept child holds %d records, want %d", i, nkeep)
 	}
 }

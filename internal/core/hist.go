@@ -208,7 +208,7 @@ func (e *engine) levelHist(g *group, id int, ln *trace.Lane, sc *scratch) bool {
 					continue // derived by subtraction in E-merge
 				}
 				cell := h.arenas[id][li*m.Stride : (li+1)*m.Stride]
-				zeroInt64(cell, m.Stride)
+				clear(cell)
 				rlo := l.rowLo + id*int(l.n)/P
 				rhi := l.rowLo + (id+1)*int(l.n)/P
 				if rlo >= rhi {

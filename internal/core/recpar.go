@@ -84,7 +84,7 @@ func (e *engine) levelRecPar(g *group, id int, ln *trace.Lane, sc *scratch) bool
 				// Pass A: chunk class histogram and boundary values.
 				if !ferr.Failed() {
 					t0 := time.Now()
-					h := zeroInt64(x.hists[id], e.nclass)
+					h := split.ResizeZero(x.hists[id], e.nclass)
 					x.hists[id] = h
 					v := chunkVal{}
 					ferr.Set(e.scan(sc, a, sr.slot, sr.off+lo, int(hi-lo), func(recs []alist.Record) error {
@@ -109,7 +109,7 @@ func (e *engine) levelRecPar(g *group, id int, ln *trace.Lane, sc *scratch) bool
 					// Prefix histogram and previous value (replicated per
 					// processor — the paper's "replication of data
 					// structures").
-					sc.below = zeroInt64(sc.below, e.nclass)
+					sc.below = split.ResizeZero(sc.below, e.nclass)
 					prev, started := 0.0, false
 					for w := 0; w < id; w++ {
 						for j, c := range x.hists[w] {
@@ -185,8 +185,8 @@ func (e *engine) levelRecPar(g *group, id int, ln *trace.Lane, sc *scratch) bool
 			// Each worker write-combines its own chunk's probe bits; the
 			// scan's flush happens before the barrier that precedes the
 			// master's Seal.
-			x.histL[id] = zeroInt64(x.histL[id], e.nclass)
-			x.histR[id] = zeroInt64(x.histR[id], e.nclass)
+			x.histL[id] = split.ResizeZero(x.histL[id], e.nclass)
+			x.histR[id] = split.ResizeZero(x.histR[id], e.nclass)
 			ferr.Set(e.probeScan(l, l.prb, lo, hi, x.histL[id], x.histR[id], sc))
 			ln.AddN(lvl, trace.PhaseWinner, time.Since(t0), 0)
 		}
@@ -263,7 +263,7 @@ func (e *engine) finishRecParW(g *group, l *leafState) error {
 
 // splitChunk writes one chunk's records into the children's reserved
 // regions at the offsets determined by the prefix sums, reusing the caller's
-// scratch appenders and run-length kernel.
+// scratch appenders and split kernel.
 func (e *engine) splitChunk(l *leafState, a int, lo, hi, prefL, prefR, nl int64, sc *scratch) error {
 	sc.useL, sc.useR = false, false
 	if c := l.children[0]; !c.terminal {
@@ -274,7 +274,7 @@ func (e *engine) splitChunk(l *leafState, a int, lo, hi, prefL, prefR, nl int64,
 		sc.apR.Reset(e.store, a, c.segs[a].slot, c.segs[a].off+prefR, int(hi-lo-nl))
 		sc.useR = true
 	}
-	sc.armProbe(l.prb, false) // the record-parallel scheme never relabels
+	sc.armProbe(l.prb) // the record-parallel scheme runs the global design only
 	sr := l.segs[a]
 	if err := e.scan(sc, a, sr.slot, sr.off+lo, int(hi-lo), sc.splitScan); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/alist"
@@ -28,10 +29,10 @@ type scratch struct {
 	apL, apR   alist.Appender
 	useL, useR bool
 	prb        probe.Leaf
-	bits       []uint64 // raw probe bits, nil for the hash design
-	shared     bool     // bits shared with concurrent W writers ⇒ atomic loads
-	remap      bool
-	runBuf     []alist.Record // remap staging for the relabel design
+	bits       []uint64       // raw probe bits, nil for the hash design
+	rank       []uint32       // relabel design's rank index, else nil
+	pos        []uint64       // hash design's per-batch destination bits
+	drop       []alist.Record // staging for a terminal child's records
 
 	wb    *probe.WBatch // W write-combining, global-bit design only
 	io    alist.IOBuf   // file-store scan staging
@@ -60,106 +61,151 @@ func (e *engine) newScratch() *scratch {
 		sc.cat.PushChunk(recs)
 		return nil
 	}
-	sc.splitScan = sc.splitRuns
+	sc.splitScan = sc.splitPartition
 	return sc
 }
 
 // armProbe prepares the S-unit probe state, pulling out the raw bit array
-// when the design exposes one so the kernel can test membership without an
-// interface call per record.
-func (sc *scratch) armProbe(prb probe.Leaf, remap bool) {
-	sc.prb, sc.remap = prb, remap
-	sc.bits, sc.shared = nil, false
+// (and the relabel design's rank index, whose presence makes the kernel
+// rewrite tids) when the design exposes one, so the kernel can route and
+// relabel without an interface call per record.
+func (sc *scratch) armProbe(prb probe.Leaf) {
+	sc.prb = prb
+	sc.bits, sc.rank = nil, nil
 	if rb, ok := prb.(probe.RawBits); ok {
-		sc.bits, sc.shared = rb.RawBits()
+		sc.bits, sc.rank = rb.RawBits()
 	}
 }
 
-// splitRuns is the run-length S kernel: it partitions one scan chunk into
-// maximal runs of records with the same destination and moves each run with
-// one bulk AppendChunk instead of a per-record Append — for MemStore a
-// segment-to-segment memmove. Sorted attribute lists are locally correlated
-// with the winning attribute, so runs are long exactly when there is the
-// most data to move.
-func (sc *scratch) splitRuns(recs []alist.Record) error {
-	n := len(recs)
-	for i := 0; i < n; {
-		var left bool
-		j := i + 1
-		switch {
-		case sc.bits != nil && sc.shared:
-			// Shared global bit array: other leaves' W writers may be
-			// touching neighbor bits of the same words concurrently.
-			t := recs[i].Tid
-			left = atomic.LoadUint64(&sc.bits[t>>6])&(1<<(t&63)) != 0
-			for ; j < n; j++ {
-				t = recs[j].Tid
-				if (atomic.LoadUint64(&sc.bits[t>>6])&(1<<(t&63)) != 0) != left {
-					break
-				}
-			}
-		case sc.bits != nil:
-			// Per-leaf bit array, sealed before S starts: plain loads.
-			t := recs[i].Tid
-			left = sc.bits[t>>6]&(1<<(t&63)) != 0
-			for ; j < n; j++ {
-				t = recs[j].Tid
-				if (sc.bits[t>>6]&(1<<(t&63)) != 0) != left {
-					break
-				}
-			}
-		default:
-			left = sc.prb.Left(recs[i].Tid)
-			for ; j < n && sc.prb.Left(recs[j].Tid) == left; j++ {
-			}
-		}
-		run := recs[i:j]
-		i = j
+// stage returns the free staging space of one side of the split: the free
+// tail of its appender's buffer, or the drop buffer when that child is
+// terminal and its records are discarded.
+func (sc *scratch) stage(ap *alist.Appender, use bool) ([]alist.Record, error) {
+	if use {
+		return ap.Stage()
+	}
+	if sc.drop == nil {
+		sc.drop = make([]alist.Record, alist.AppenderChunk)
+	}
+	return sc.drop, nil
+}
 
-		ap, use := &sc.apR, sc.useR
-		if left {
-			ap, use = &sc.apL, sc.useL
+// splitPartition is the S kernel: it routes one scan chunk to the two
+// children's appenders, in order, batch by batch through partition. The
+// batches are staged straight into the free tails of the appenders'
+// buffers, so a record is copied once before the appenders flush it to the
+// store; a terminal child stages into the drop buffer and never commits.
+func (sc *scratch) splitPartition(recs []alist.Record) error {
+	for len(recs) > 0 {
+		dl, err := sc.stage(&sc.apL, sc.useL)
+		if err != nil {
+			return err
 		}
-		if !use {
-			continue // records of a terminal (pure) child are dropped
+		dr, err := sc.stage(&sc.apR, sc.useR)
+		if err != nil {
+			return err
 		}
-		if !sc.remap {
-			if err := ap.AppendChunk(run); err != nil {
+		batch := recs[:min(len(recs), len(dl), len(dr))]
+		recs = recs[len(batch):]
+		var nl, nr int
+		switch {
+		case sc.bits == nil:
+			nl, nr = partitionByPos(batch, dl, dr, sc.posBits(batch))
+		case sc.rank != nil:
+			nl, nr = partitionRelabel(batch, dl, dr, sc.bits, sc.rank)
+		default:
+			nl, nr = partition(batch, dl, dr, sc.bits)
+		}
+		if sc.useL {
+			if err := sc.apL.Commit(nl); err != nil {
 				return err
 			}
-			continue
 		}
-		// Relabel design: rewrite tids into a bounded staging buffer, then
-		// move it as a chunk.
-		if cap(sc.runBuf) == 0 {
-			sc.runBuf = make([]alist.Record, alist.AppenderChunk)
-		}
-		for len(run) > 0 {
-			k := min(len(run), cap(sc.runBuf))
-			buf := sc.runBuf[:k]
-			for x := 0; x < k; x++ {
-				r := run[x]
-				r.Tid = sc.prb.Remap(r.Tid)
-				buf[x] = r
-			}
-			if err := ap.AppendChunk(buf); err != nil {
+		if sc.useR {
+			if err := sc.apR.Commit(nr); err != nil {
 				return err
 			}
-			run = run[k:]
 		}
 	}
 	return nil
 }
 
-// zeroInt64 returns s with length n and all elements zero, reusing the
-// backing array when possible.
-func zeroInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
+// posBits asks a probe with no bit array (the hash design) where each
+// record of batch goes, and returns the answers as a bitmap keyed by
+// position in the batch.
+func (sc *scratch) posBits(batch []alist.Record) []uint64 {
+	if sc.pos == nil {
+		sc.pos = make([]uint64, (alist.AppenderChunk+63)/64)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
+	pos := sc.pos[:(len(batch)+63)/64]
+	clear(pos)
+	for i := range batch {
+		if sc.prb.Left(batch[i].Tid) {
+			pos[i>>6] |= 1 << (i & 63)
+		}
 	}
-	return s
+	return pos
+}
+
+// put is the branch-free step every partition loop runs per record: r is
+// stored at the next staging position of both sides, dl[nl] and dr[nr],
+// and only the side left picks (1 left, 0 right) moves forward, so routing
+// costs no data-dependent branch whatever the destinations' pattern.
+func put(dl, dr []alist.Record, nl, nr int, r alist.Record, left uint64) (int, int) {
+	dl[nl] = r
+	dr[nr] = r
+	return nl + int(left), nr + int(left^1)
+}
+
+// The partition loops stage batch into dl and dr through put and return
+// each side's count of staged records, which its appender commits. They
+// differ only in how a record's bit is loaded. Each is a loop of its own,
+// with no call and no design test inside, and is kept out of line
+// (go:noinline), so its state stays in registers rather than competing
+// with splitPartition's.
+
+// partition loads the bit of the record's tid from the probe's words. The
+// global design's words are shared with concurrent W writers, so they are
+// loaded atomically.
+//
+//go:noinline
+func partition(batch, dl, dr []alist.Record, words []uint64) (nl, nr int) {
+	for _, r := range batch {
+		t := r.Tid
+		var left uint64
+		if atomic.LoadUint64(&words[t>>6])&(1<<(t&63)) != 0 {
+			left = 1 // a bit test and a flag move, not a branch
+		}
+		nl, nr = put(dl, dr, nl, nr, r, left)
+	}
+	return nl, nr
+}
+
+// partitionRelabel is partition for the relabel design, which also
+// rewrites each tid as it stages: a side's tids are dense from 0, so a
+// left tid becomes the number of left tids below it and a right tid the
+// number of right tids below it (probe.Leaf.Remap, without its branch).
+//
+//go:noinline
+func partitionRelabel(batch, dl, dr []alist.Record, words []uint64, rank []uint32) (nl, nr int) {
+	for _, r := range batch {
+		t := r.Tid
+		w := words[t>>6]
+		left := w >> (t & 63) & 1
+		below := rank[t>>6] + uint32(bits.OnesCount64(w&(1<<(t&63)-1)))
+		r.Tid = t - below + uint32(left)*(2*below-t)
+		nl, nr = put(dl, dr, nl, nr, r, left)
+	}
+	return nl, nr
+}
+
+// partitionByPos loads the bit of the record's position in batch from a
+// posBits bitmap.
+//
+//go:noinline
+func partitionByPos(batch, dl, dr []alist.Record, pos []uint64) (nl, nr int) {
+	for i, r := range batch {
+		nl, nr = put(dl, dr, nl, nr, r, pos[i>>6]>>(i&63)&1)
+	}
+	return nl, nr
 }

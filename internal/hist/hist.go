@@ -202,8 +202,7 @@ func (m *Matrix) Accumulate(dst []int64, a int, idx []uint32, lo, hi int) {
 // attribute. It is reusable scratch: a zero value works, and repeated
 // calls allocate nothing once the histograms are sized.
 type ContSearch struct {
-	below []int64
-	above []int64
+	sc split.Scorer
 }
 
 // Best scans the bin histogram counts (layout counts[bin*nclass+class]) of
@@ -213,17 +212,16 @@ type ContSearch struct {
 // HIST trees serialize and predict exactly like exact-engine trees.
 func (s *ContSearch) Best(attr int, counts []int64, cuts []float64, total []int64, n int64) split.Candidate {
 	nclass := len(total)
-	s.below = resizeZero(s.below, nclass)
-	s.above = resizeZero(s.above, nclass)
+	sc := &s.sc
+	sc.Reset(total)
 	best := split.Candidate{Attr: attr, Kind: dataset.Continuous, Gini: math.Inf(1)}
 	var nBelow int64
 	for k := range cuts {
 		// Bins 0..k lie strictly below cuts[k]; fold bin k in and test the
 		// boundary after it.
+		row := counts[k*nclass : (k+1)*nclass]
 		var nb int64
-		for j := 0; j < nclass; j++ {
-			c := counts[k*nclass+j]
-			s.below[j] += c
+		for _, c := range row {
 			nb += c
 		}
 		if nb == 0 {
@@ -231,41 +229,30 @@ func (s *ContSearch) Best(attr int, counts []int64, cuts []float64, total []int6
 			// previous boundary did, and a tie never wins.
 			continue
 		}
+		sc.Move(row, true)
 		nBelow += nb
 		if nBelow >= n {
 			break // every row lies below: no later boundary splits
 		}
 		nl := nBelow
 		nr := n - nBelow
-		for j := 0; j < nclass; j++ {
-			s.above[j] = total[j] - s.below[j]
+		if sc.Worse(nl, nr) {
+			continue
 		}
-		g := split.SplitGini(s.below, s.above, nl, nr)
+		g := sc.Gini(nl, nr)
 		// Boundaries arrive in increasing threshold order, so under the
 		// deterministic Better order a later candidate only wins with
 		// strictly lower gini (same in-place update as split.ContEval).
 		if best.Valid && g >= best.Gini {
 			continue
 		}
+		sc.Keep(nl, nr)
 		best.Gini = g
 		best.Threshold = cuts[k]
 		best.NLeft, best.NRight = nl, nr
 		best.Valid = true
 	}
 	return best
-}
-
-// resizeZero returns s with length n and every element zeroed, reusing the
-// backing array when it is large enough.
-func resizeZero(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 // LeftBins materializes a winning candidate's per-bin routing table for

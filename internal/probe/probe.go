@@ -69,14 +69,16 @@ type Leaf interface {
 }
 
 // RawBits is implemented by the bit-array probe designs. It exposes the
-// underlying word array so hot loops (the run-length split kernel) can test
-// membership without an interface call per record. shared reports whether
-// the words are shared with other leaves' concurrent W writers, in which
-// case readers must use atomic loads (the global design); per-leaf arrays
-// (the relabel design) are sealed before S readers start and may be read
-// plainly.
+// underlying word array so the split kernel can test membership, and for
+// the relabel design compute the child tid, without an interface call per
+// record. The global design shares its words with other leaves' concurrent
+// W writers, so readers load words atomically. rank is nil except for the
+// relabel design, the one design that rewrites tids (so list tids stay
+// dense per leaf across levels): there rank[w] counts the set bits of
+// words[0..w), so a tid's rank among its side is rank[tid/64] plus one
+// popcount (see Remap).
 type RawBits interface {
-	RawBits() (words []uint64, shared bool)
+	RawBits() (words []uint64, rank []uint32)
 }
 
 // Factory creates per-leaf probes.
@@ -86,9 +88,6 @@ type Factory interface {
 	ForLeaf(nLeft, nRight int64) Leaf
 	// Kind reports the design.
 	Kind() Kind
-	// Relabels reports whether this design rewrites tids (so list tids
-	// stay dense per leaf across levels).
-	Relabels() bool
 }
 
 // NewFactory builds a factory of the given kind. totalTuples is the training
@@ -113,8 +112,7 @@ type globalFactory struct {
 	words []uint64
 }
 
-func (f *globalFactory) Kind() Kind     { return GlobalBit }
-func (f *globalFactory) Relabels() bool { return false }
+func (f *globalFactory) Kind() Kind { return GlobalBit }
 
 func (f *globalFactory) ForLeaf(nLeft, nRight int64) Leaf { return (*globalLeaf)(f) }
 
@@ -141,7 +139,7 @@ func (g *globalLeaf) Release()                {}
 
 // RawBits implements RawBits; the array is shared across leaves, so readers
 // must load words atomically.
-func (g *globalLeaf) RawBits() ([]uint64, bool) { return g.words, true }
+func (g *globalLeaf) RawBits() ([]uint64, []uint32) { return g.words, nil }
 
 // WBatch write-combines GlobalBit Set calls from one W executor: bits are
 // accumulated in worker-local shadow words and flushed with one atomic Or
@@ -219,8 +217,7 @@ func (b *WBatch) Flush() {
 // to the other child").
 type hashFactory struct{}
 
-func (hashFactory) Kind() Kind     { return LeafHash }
-func (hashFactory) Relabels() bool { return false }
+func (hashFactory) Kind() Kind { return LeafHash }
 
 func (hashFactory) ForLeaf(nLeft, nRight int64) Leaf {
 	smallerLeft := nLeft <= nRight
@@ -293,8 +290,7 @@ func (h *hashLeaf) Release()                { h.slots = nil }
 // child's dense new tid in O(1).
 type relabelFactory struct{}
 
-func (relabelFactory) Kind() Kind     { return LeafRelabel }
-func (relabelFactory) Relabels() bool { return true }
+func (relabelFactory) Kind() Kind { return LeafRelabel }
 
 func (relabelFactory) ForLeaf(nLeft, nRight int64) Leaf {
 	n := nLeft + nRight
@@ -350,6 +346,6 @@ func (r *relabelLeaf) Release() {
 	r.rank = nil
 }
 
-// RawBits implements RawBits; the array is private to the leaf and sealed
-// before S readers start, so plain loads are safe.
-func (r *relabelLeaf) RawBits() ([]uint64, bool) { return r.words, false }
+// RawBits implements RawBits; the array and its rank index are private to
+// the leaf and sealed before S readers start.
+func (r *relabelLeaf) RawBits() ([]uint64, []uint32) { return r.words, r.rank }

@@ -15,8 +15,19 @@ func TestFactoryKinds(t *testing.T) {
 		if f.Kind() != k {
 			t.Fatalf("kind = %v, want %v", f.Kind(), k)
 		}
-		if f.Relabels() != (k == LeafRelabel) {
-			t.Fatalf("%v: Relabels = %v", k, f.Relabels())
+		// The split kernel relabels exactly when a design exposes a rank
+		// index, and asks a design without raw bits per record.
+		prb := f.ForLeaf(1, 1)
+		prb.Set(3, true)
+		prb.Seal()
+		rb, raw := prb.(RawBits)
+		if raw != (k != LeafHash) {
+			t.Fatalf("%v: implements RawBits = %v", k, raw)
+		}
+		if raw {
+			if _, rank := rb.RawBits(); (rank != nil) != (k == LeafRelabel) {
+				t.Fatalf("%v: rank index = %v", k, rank)
+			}
 		}
 	}
 	if _, err := NewFactory(Kind(42), 10); err == nil {

@@ -171,15 +171,150 @@ func (c Candidate) GoesLeft(value float64) bool {
 	return c.Subset.Has(int32(value))
 }
 
+// Scorer holds one binary partition of a leaf's records, the class
+// histograms Left and Right, and ranks candidate partitions without a
+// division per class. Every split search (ContEval, CatEval's enumeration
+// and greedy subsetting, and the HIST boundary search) moves records or
+// whole categories between the two sides and asks the same scorer about
+// each candidate.
+//
+// The split gini of a partition with nl records on the left and nr on the
+// right is 1 − Q/n, with n = nl+nr and
+//
+//	Q = Sl/nl + Sr/nr = (Sl·nr + Sr·nl) / (nl·nr),
+//
+// where Sl = Σ Left[j]² and Sr = Σ Right[j]². The scorer keeps Sl and Sr
+// exactly in int64: moving one class-c record left adds 2·Left[c]+1 to Sl
+// and takes 2·Right[c]−1 from Sr, O(1) per record, and moving a category's
+// class-count row costs O(classes). Sl, Sr ≤ n², so the sums fit in an
+// int64 for n ≤ 3,037,000,499 rows (⌊√(2⁶³−1)⌋); every int64 count below
+// that bound converts to float64 within one rounding, and every product of
+// them is far inside float64 range.
+//
+// Q only screens candidates out. The winner, its Gini bits and every tie
+// are still decided by the float SplitGini and each search's own rule, so
+// the trees are exactly those a float-only search grows. Worse rejects a
+// candidate only when its exact gini exceeds the best's by more than
+// margin = 2ε + 12u, where u = 2⁻⁵³ is the float64 unit roundoff and ε
+// bounds SplitGini's own error:
+//
+//   - SplitGini's error. Gini forms k quotients c/n (one rounding each),
+//     squares them (one more), adds the k squares (k−1 more) and takes the
+//     sum from 1 (one more): with every p² ≤ 1 and Σp² ≤ 1 its result is
+//     within (k+3)u of the exact gini of k classes. SplitGini weighs the
+//     two by nl/n and nr/n and adds them (three roundings on terms at
+//     most 1), so ε = (k+6)u, to first order in u.
+//   - Worse's error. The candidate test compares fl(Sl·nr + Sr·nl),
+//     within 3u relative of its exact value (two conversions of Sl and Sr
+//     rounded at most once each, two products and a sum), with fl(floor ·
+//     fl(nl·nr)), within 2u relative. floor is the best's Q, formed once by
+//     one more division (5u relative), less n·margin (one more rounding).
+//     Q ≤ n for every partition, so a rejected candidate's exact Q is
+//     below the best's exact Q − n·margin + 12u·n: its exact gini exceeds
+//     the best's by more than margin − 12u = 2ε.
+//
+// A candidate whose exact gini exceeds the best's by more than 2ε has a
+// float gini strictly above the best's float gini, which every search
+// rule rejects. The scorer pads the first-order bound eightfold, to
+// 8·(2k+24)u, which also covers the second-order terms left out above;
+// for two classes that is under 1e-14 of gini, so only candidates that tie
+// or nearly tie the best are scored in float.
+type Scorer struct {
+	// Left and Right are the class histograms of the two sides.
+	Left, Right []int64
+	sl, sr      int64   // Σ Left[j]², Σ Right[j]²
+	slack       float64 // n·margin, in units of Q
+	floor       float64 // best's Q − slack; −Inf until a best is kept
+}
+
+// Reset puts every record of a leaf whose class histogram is total on the
+// right and forgets the best, reusing the histograms' backing arrays.
+func (s *Scorer) Reset(total []int64) {
+	s.Left = ResizeZero(s.Left, len(total))
+	s.Right = append(s.Right[:0], total...)
+	var n int64
+	s.sl, s.sr = 0, 0
+	for _, c := range total {
+		n += c
+		s.sr += c * c
+	}
+	s.slack = float64(n) * 16 * float64(len(total)+12) * 0x1p-53
+	s.floor = math.Inf(-1)
+}
+
+// addOne returns the squared sums after one record moves left from a class
+// with l records on the left and r on the right. ContEval runs it per
+// record on its scorer's sums.
+func addOne(sl, sr, l, r int64) (int64, int64) {
+	return sl + 2*l + 1, sr - (2*r - 1)
+}
+
+// Move shifts a class-count row (one category's records) from the right to
+// the left when in is true, from the left to the right otherwise.
+func (s *Scorer) Move(row []int64, in bool) {
+	left, right := s.Left[:len(row)], s.Right[:len(row)]
+	sign := int64(1)
+	if !in {
+		sign = -1
+	}
+	var dl, dr int64
+	for j, c := range row {
+		c *= sign
+		l, r := left[j], right[j]
+		// (l+c)² − l² = c·(2l+c); r² − (r−c)² = c·(2r−c).
+		dl += c * (2*l + c)
+		dr += c * (2*r - c)
+		left[j], right[j] = l+c, r-c
+	}
+	s.sl += dl
+	s.sr -= dr
+}
+
+// Worse reports whether the current partition, with nl records on the left
+// and nr on the right, is certainly worse than the best kept: its float
+// gini would exceed the best's. It divides nothing.
+func (s *Scorer) Worse(nl, nr int64) bool {
+	return worse(s.sl, s.sr, nl, nr, s.floor)
+}
+
+// worse is Worse on explicit squared sums and floor.
+func worse(sl, sr, nl, nr int64, floor float64) bool {
+	fl, fr := float64(nl), float64(nr)
+	return float64(sl)*fr+float64(sr)*fl < floor*(fl*fr)
+}
+
+// Gini returns the current partition's float SplitGini.
+func (s *Scorer) Gini(nl, nr int64) float64 {
+	return SplitGini(s.Left, s.Right, nl, nr)
+}
+
+// Keep makes the current partition the best that later candidates are
+// screened against.
+func (s *Scorer) Keep(nl, nr int64) {
+	fl, fr := float64(nl), float64(nr)
+	s.floor = (float64(s.sl)*fr+float64(s.sr)*fl)/(fl*fr) - s.slack
+}
+
+// ResizeZero returns s with length n and every element zeroed, reusing the
+// backing array when it is large enough.
+func ResizeZero(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = 0
+	}
+	return s
+}
+
 // ContEval streams a sorted continuous attribute list and finds the best
-// mid-point split. It maintains the Cbelow histogram; Cabove is derived from
-// the leaf's total histogram.
+// mid-point split. Its scorer's Left is the Cbelow histogram and its Right
+// the Cabove histogram, both kept per record.
 type ContEval struct {
 	attr    int
-	total   []int64
+	sc      Scorer
 	n       int64
-	below   []int64
-	above   []int64 // scratch, recomputed per candidate
 	nBelow  int64
 	prev    float64
 	started bool
@@ -199,13 +334,11 @@ func NewContEval(attr int, total []int64) *ContEval {
 // scratch can embed one by value and evaluate every unit allocation-free.
 func (e *ContEval) Reset(attr int, total []int64) {
 	e.attr = attr
-	e.total = append(e.total[:0], total...)
-	e.below = resizeZero(e.below, len(total))
-	e.above = resizeZero(e.above, len(total))
+	e.sc.Reset(total)
 	e.n, e.nBelow = 0, 0
 	e.prev, e.started = 0, false
 	e.best = Candidate{Attr: attr, Kind: dataset.Continuous, Gini: math.Inf(1)}
-	for _, c := range e.total {
+	for _, c := range total {
 		e.n += c
 	}
 }
@@ -225,7 +358,7 @@ func NewContEvalSeeded(attr int, total, below []int64, prev float64, started boo
 // NewContEvalSeeded.
 func (e *ContEval) ResetSeeded(attr int, total, below []int64, prev float64, started bool) {
 	e.Reset(attr, total)
-	copy(e.below, below)
+	e.sc.Move(below, true)
 	for _, c := range below {
 		e.nBelow += c
 	}
@@ -235,63 +368,61 @@ func (e *ContEval) ResetSeeded(attr int, total, below []int64, prev float64, sta
 
 // Push consumes the next record (records must arrive in sorted order).
 func (e *ContEval) Push(r alist.Record) {
-	if e.started && r.Value != e.prev {
-		e.consider((e.prev + r.Value) / 2)
-	}
-	e.below[r.Class]++
-	e.nBelow++
-	e.prev = r.Value
-	e.started = true
+	e.PushChunk([]alist.Record{r})
 }
 
-// PushChunk consumes a chunk of records. The loop body repeats Push inline:
-// the E scan spends most of its cycles here, and keeping the per-record path
-// call-free is measurably faster than dispatching Push per record.
+// PushChunk consumes a chunk of records. Each distinct value closes a
+// candidate, the split below it; the scorer screens it out in O(1) unless
+// it can beat the best, and only then is its float gini computed. The loop
+// runs the scorer's Worse and Add steps on locals, which stay in registers,
+// and writes them back before offer reads them.
 func (e *ContEval) PushChunk(recs []alist.Record) {
+	s := &e.sc
+	left, right := s.Left, s.Right
+	sl, sr, floor := s.sl, s.sr, s.floor
+	nl, n, prev, started := e.nBelow, e.n, e.prev, e.started
 	for i := range recs {
-		r := recs[i]
-		if e.started && r.Value != e.prev {
-			e.consider((e.prev + r.Value) / 2)
+		v, c := recs[i].Value, recs[i].Class
+		if started && v != prev && !worse(sl, sr, nl, n-nl, floor) {
+			s.sl, s.sr, e.nBelow, e.prev = sl, sr, nl, prev
+			e.offer(v)
+			floor = s.floor
 		}
-		e.below[r.Class]++
-		e.nBelow++
-		e.prev = r.Value
-		e.started = true
+		l, r := left[c], right[c]
+		sl, sr = addOne(sl, sr, l, r)
+		left[c], right[c] = l+1, r-1
+		nl++
+		prev, started = v, true
 	}
+	s.sl, s.sr = sl, sr
+	e.nBelow, e.prev, e.started = nl, prev, started
 }
 
-// resizeZero returns s with length n and every element zeroed, reusing the
-// backing array when it is large enough.
-func resizeZero(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func (e *ContEval) consider(threshold float64) {
+// offer scores the split between e.prev and the next distinct value v in
+// float and keeps it if it wins. Thresholds arrive in increasing order, so
+// under the deterministic Better order (lower gini, then lower threshold) a
+// later candidate only wins with strictly lower gini; updating fields in
+// place avoids copying a full Candidate per distinct value.
+func (e *ContEval) offer(v float64) {
 	nl := e.nBelow
 	nr := e.n - nl
 	if nl == 0 || nr == 0 {
 		return
 	}
-	for j := range e.above {
-		e.above[j] = e.total[j] - e.below[j]
-	}
-	g := SplitGini(e.below, e.above, nl, nr)
-	// Thresholds arrive in increasing order, so under the deterministic
-	// Better order (lower gini, then lower threshold) a later candidate only
-	// wins with strictly lower gini; updating fields in place avoids copying
-	// a full Candidate per distinct value.
+	g := e.sc.Gini(nl, nr)
 	if e.best.Valid && g >= e.best.Gini {
 		return
 	}
+	e.sc.Keep(nl, nr)
+	// The mid-point rounds down to prev when the two values are adjacent
+	// doubles and overflows for values near the float64 limit; v itself
+	// then separates the two sides exactly (value < v ⇒ left).
+	m := (e.prev + v) / 2
+	if !(e.prev < m && m <= v) {
+		m = v
+	}
 	e.best.Gini = g
-	e.best.Threshold = threshold
+	e.best.Threshold = m
 	e.best.NLeft, e.best.NRight = nl, nr
 	e.best.Valid = true
 }
@@ -324,9 +455,7 @@ type CatEval struct {
 	// best subset is materialized.
 	present []int32
 	pc      []int64 // present-major class counts, see gather
-	left    []int64
-	right   []int64
-	trial   []int64 // greedy's trial left/right histograms
+	sc      Scorer
 	inLeft  []bool
 }
 
@@ -347,8 +476,8 @@ func (e *CatEval) Reset(attr, card int, total []int64, maxEnum int) {
 		maxEnum = MaxEnumCard
 	}
 	e.attr, e.card, e.nclasses, e.maxEnum = attr, card, len(total), maxEnum
-	e.counts = resizeZero(e.counts, len(total)*card)
-	e.catTot = resizeZero(e.catTot, card)
+	e.counts = ResizeZero(e.counts, len(total)*card)
+	e.catTot = ResizeZero(e.catTot, card)
 	e.total = append(e.total[:0], total...)
 	e.n = 0
 	for _, c := range e.total {
@@ -424,39 +553,18 @@ func (e *CatEval) Finish() Candidate {
 // gather copies the class counts of each present category into the
 // present-major scratch pc (pc[i*nclasses+j] is class j of present[i]), so
 // every incremental search step below reads one contiguous row, and resets
-// the left/right histograms to the empty-left partition. Nothing is
-// allocated once the scratch is sized.
-func (e *CatEval) gather(present []int32) (pc, left, right []int64) {
+// the scorer to the empty-left partition. Nothing is allocated once the
+// scratch is sized.
+func (e *CatEval) gather(present []int32) []int64 {
 	nc := e.nclasses
-	e.pc = resizeZero(e.pc, len(present)*nc)
+	e.pc = ResizeZero(e.pc, len(present)*nc)
 	for i, cat := range present {
 		for j := 0; j < nc; j++ {
 			e.pc[i*nc+j] = e.counts[j*e.card+int(cat)]
 		}
 	}
-	e.left = resizeZero(e.left, nc)
-	if cap(e.right) < nc {
-		e.right = make([]int64, nc)
-	}
-	e.right = e.right[:nc]
-	copy(e.right, e.total)
-	return e.pc, e.left, e.right
-}
-
-// move shifts present category row (its class counts) from right to left
-// when in is true, from left to right otherwise.
-func move(left, right, row []int64, in bool) {
-	if in {
-		for j, c := range row {
-			left[j] += c
-			right[j] -= c
-		}
-		return
-	}
-	for j, c := range row {
-		left[j] -= c
-		right[j] += c
-	}
+	e.sc.Reset(e.total)
+	return e.pc
 }
 
 // subset materializes the left-branch set: the present categories whose
@@ -475,17 +583,18 @@ func (e *CatEval) subset(present []int32, member func(i int) bool) CatSet {
 // Masks with bit 0 set cover each unordered bipartition exactly once. They
 // are walked in Gray-code order — step k visits mask 1|g<<1 with
 // g = k^(k>>1) — so consecutive masks differ in one category, and each step
-// moves that category between the left and right histograms at O(classes)
-// cost instead of re-summing every category. The histograms are integer
-// sums, so every mask's gini is bit-identical to a from-scratch sum. The
-// winner is the lowest gini, ties going to the smallest mask, exactly as
-// the ascending-mask scan's strict comparison chose.
+// moves that category between the scorer's sides at O(classes) cost
+// instead of re-summing every category. The histograms are integer sums,
+// so every mask's gini is bit-identical to a from-scratch sum. The winner
+// is the lowest gini, ties going to the smallest mask, exactly as the
+// ascending-mask scan's strict comparison chose.
 func (e *CatEval) enumerate(present []int32) Candidate {
 	best := Candidate{Attr: e.attr, Kind: dataset.Categorical, Gini: math.Inf(1)}
 	m := len(present)
 	nc := e.nclasses
-	pc, left, right := e.gather(present)
-	move(left, right, pc[:nc], true)
+	pc := e.gather(present)
+	sc := &e.sc
+	sc.Move(pc[:nc], true)
 	nl := e.catTot[present[0]]
 	full := uint64(1)<<uint(m) - 1
 	var bestMask uint64
@@ -493,7 +602,7 @@ func (e *CatEval) enumerate(present []int32) Candidate {
 		if k > 0 {
 			i := bits.TrailingZeros64(k) + 1
 			in := (k^k>>1)&(1<<uint(i-1)) != 0
-			move(left, right, pc[i*nc:(i+1)*nc], in)
+			sc.Move(pc[i*nc:(i+1)*nc], in)
 			if in {
 				nl += e.catTot[present[i]]
 			} else {
@@ -505,10 +614,14 @@ func (e *CatEval) enumerate(present []int32) Candidate {
 		if mask == full || nl == 0 || nr == 0 {
 			continue // all present on the left ⇒ empty right
 		}
-		g := SplitGini(left, right, nl, nr)
+		if sc.Worse(nl, nr) {
+			continue
+		}
+		g := sc.Gini(nl, nr)
 		if best.Valid && (g > best.Gini || g == best.Gini && mask > bestMask) {
 			continue
 		}
+		sc.Keep(nl, nr)
 		best.Gini, bestMask = g, mask
 		best.NLeft, best.NRight = nl, nr
 		best.Valid = true
@@ -521,9 +634,9 @@ func (e *CatEval) enumerate(present []int32) Candidate {
 
 // greedy grows the left subset one category at a time, always adding the
 // category that most reduces the split gini, stopping when no addition
-// improves it (SPRINT's greedy subsetting). Each trial scores the current
-// left histogram plus one category, so a trial costs O(classes); ties go
-// to the lowest present index because the comparison is strict.
+// improves it (SPRINT's greedy subsetting). Each trial moves one category
+// left, asks the scorer, and moves it back, so a trial costs O(classes);
+// ties go to the lowest present index because the comparison is strict.
 func (e *CatEval) greedy(present []int32) Candidate {
 	if cap(e.inLeft) < len(present) {
 		e.inLeft = make([]bool, len(present))
@@ -534,9 +647,8 @@ func (e *CatEval) greedy(present []int32) Candidate {
 	}
 	e.inLeft = inLeft
 	nc := e.nclasses
-	pc, left, right := e.gather(present)
-	e.trial = resizeZero(e.trial, 2*nc)
-	tl, tr := e.trial[:nc], e.trial[nc:]
+	pc := e.gather(present)
+	sc := &e.sc
 	best := Candidate{Attr: e.attr, Kind: dataset.Categorical, Gini: math.Inf(1)}
 	var nl int64
 	for {
@@ -547,25 +659,26 @@ func (e *CatEval) greedy(present []int32) Candidate {
 			if inLeft[i] {
 				continue
 			}
-			row := pc[i*nc : (i+1)*nc]
-			for j, c := range row {
-				tl[j] = left[j] + c
-				tr[j] = right[j] - c
-			}
 			tnl := nl + e.catTot[cat]
 			tnr := e.n - tnl
 			if tnl == 0 || tnr == 0 {
 				continue
 			}
-			if g := SplitGini(tl, tr, tnl, tnr); g < roundBest {
-				roundBest, roundNL, improved = g, tnl, i
+			row := pc[i*nc : (i+1)*nc]
+			sc.Move(row, true)
+			if !sc.Worse(tnl, tnr) {
+				if g := sc.Gini(tnl, tnr); g < roundBest {
+					sc.Keep(tnl, tnr)
+					roundBest, roundNL, improved = g, tnl, i
+				}
 			}
+			sc.Move(row, false)
 		}
 		if improved < 0 {
 			break
 		}
 		inLeft[improved] = true
-		move(left, right, pc[improved*nc:(improved+1)*nc], true)
+		sc.Move(pc[improved*nc:(improved+1)*nc], true)
 		nl = roundNL
 		best.Gini, best.NLeft, best.NRight, best.Valid = roundBest, nl, e.n-nl, true
 	}
