@@ -1,7 +1,7 @@
 // Command loadgen drives a running parclassd with synthetic prediction
 // traffic and reports latency percentiles, throughput and shed rate — the
 // measuring third of the train→serve→measure loop (the driver itself lives
-// in internal/loadtest, shared with `benchjson -serve`).
+// in internal/loadtest, shared with the overload and cluster soak tests).
 //
 // It fetches GET /v1/model/{name} to learn the model's schema, synthesizes
 // random rows over that schema, and sends POST /v1/predict requests either

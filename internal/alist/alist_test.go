@@ -174,66 +174,9 @@ func storeFactories(t *testing.T, nattr, slots int) map[string]Store {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fs.Close() })
-	cf, err := NewCombinedFileStore(t.TempDir(), nattr, slots, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cf.Close() })
 	return map[string]Store{
-		"mem":      NewMemStore(nattr, slots),
-		"file":     fs,
-		"combined": cf,
-	}
-}
-
-func TestCombinedStoreSpecifics(t *testing.T) {
-	st, err := NewCombinedFileStore(t.TempDir(), 3, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	// Stripe capacity is enforced.
-	if _, err := st.Reserve(0, 0, 11); err == nil {
-		t.Fatal("stripe overflow accepted")
-	}
-	// Stripes of different attributes in the same slot do not collide.
-	for a := 0; a < 3; a++ {
-		off, err := st.Reserve(a, 0, 4)
-		if err != nil || off != 0 {
-			t.Fatalf("reserve attr %d: %d, %v", a, off, err)
-		}
-		recs := make([]Record, 4)
-		for i := range recs {
-			recs[i] = Record{Value: float64(100*a + i), Tid: uint32(i)}
-		}
-		if err := st.WriteAt(a, 0, 0, recs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for a := 0; a < 3; a++ {
-		i := 0
-		err := st.Scan(a, 0, 0, 4, func(rs []Record) error {
-			for _, r := range rs {
-				if r.Value != float64(100*a+i) {
-					t.Fatalf("attr %d record %d = %+v (stripe collision?)", a, i, r)
-				}
-				i++
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One physical file per used slot: only slot 0 touched.
-	if st.NumPhysicalFiles() != 1 {
-		t.Fatalf("physical files = %d, want 1", st.NumPhysicalFiles())
-	}
-	if cap := st.NumSlots(); cap != 4 {
-		t.Fatalf("slots = %d", cap)
-	}
-	if _, err := NewCombinedFileStore(t.TempDir(), 1, 1, 0); err == nil {
-		t.Fatal("zero capacity accepted")
+		"mem":  NewMemStore(nattr, slots),
+		"file": fs,
 	}
 }
 

@@ -41,7 +41,7 @@ func benchStoreRoundTrip(b *testing.B, st Store, n int) {
 	}
 }
 
-// BenchmarkStoreRoundTrip measures write+scan throughput of the three
+// BenchmarkStoreRoundTrip measures write+scan throughput of the two
 // attribute-list backends on a 100K-record list.
 func BenchmarkStoreRoundTrip(b *testing.B) {
 	const n = 100000
@@ -50,14 +50,6 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 	})
 	b.Run("file", func(b *testing.B) {
 		st, err := NewFileStore(b.TempDir(), 1, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer st.Close()
-		benchStoreRoundTrip(b, st, n)
-	})
-	b.Run("combined", func(b *testing.B) {
-		st, err := NewCombinedFileStore(b.TempDir(), 1, 1, n)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 // short writes, injected chaos faults) is worth one or two more attempts
 // before a whole multi-second build is torn down. Retrying wraps any Store
 // with a bounded retry-with-backoff layer; engines apply it to the store
-// they build on (FileStore, CombinedFileStore and MemStore alike — for the
+// they build on (FileStore and MemStore alike — for the
 // memory store every error is structural and never transient, so the
 // wrapper is pure passthrough there).
 

@@ -13,9 +13,10 @@ package cluster
 //     anti-entropy alone.
 //
 // Real listeners (not httptest) because the restart must reclaim the SAME
-// address — that is the part a slot-in replacement process has to get
-// right, and what the multi-process `make clusterbench` harness then
-// proves across process boundaries.
+// address — the part a slot-in replacement process has to get right. The
+// nodes are in-process, but they run the same cluster.Node and serve code
+// a parclassd process runs. The test logs how long the restarted node took
+// to converge and fails if it takes 5s or more.
 
 import (
 	"bytes"
@@ -165,11 +166,13 @@ func TestClusterSoakKillRestart(t *testing.T) {
 	// Restart b on the same port; anti-entropy must converge it without
 	// any help from the origin's (long-gone) push.
 	time.Sleep(200 * time.Millisecond)
+	restarted := time.Now()
 	b.start(t, boot)
 	waitFor(t, func() bool {
 		d := b.current().Digest()["default"]
 		return d.Version == "a=1" && d.Hash == fmt.Sprintf("%016x", hashOf(raw))
 	})
+	converge := time.Since(restarted)
 
 	<-loadDone
 	if loadErr != nil {
@@ -182,8 +185,11 @@ func TestClusterSoakKillRestart(t *testing.T) {
 	if res.OK == 0 {
 		t.Fatal("no successful requests during soak")
 	}
-	t.Logf("soak: ok=%d shed=%d errors=%d (5xx=%d) retries=%d rows=%d",
-		res.OK, res.Shed, res.Errors, res.FiveXX, res.Retries, res.Rows)
+	t.Logf("soak: ok=%d shed=%d errors=%d (5xx=%d) retries=%d rows=%d converge=%v",
+		res.OK, res.Shed, res.Errors, res.FiveXX, res.Retries, res.Rows, converge.Round(time.Millisecond))
+	if converge >= 5*time.Second {
+		t.Fatalf("restarted node converged %v after its start, want under 5s", converge)
+	}
 
 	// Whole fleet converged: same version, same artifact hash everywhere.
 	want := fmt.Sprintf("%016x", hashOf(raw))

@@ -104,7 +104,6 @@ func chaosStorages() []chaosStorage {
 	return []chaosStorage{
 		{name: "mem", cfg: func(c *Config) { c.Storage = Memory }},
 		{name: "disk", cfg: func(c *Config) { c.Storage = Disk }},
-		{name: "disk-combined", cfg: func(c *Config) { c.Storage = Disk; c.CombinedFiles = true }},
 	}
 }
 

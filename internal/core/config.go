@@ -123,10 +123,6 @@ type Config struct {
 	// TempDir is the directory for Disk storage files; defaults to a
 	// fresh directory under os.TempDir().
 	TempDir string
-	// CombinedFiles, with Disk storage, stores all attributes' records in
-	// one striped physical file per slot (the paper's §2.3 refinement:
-	// "a total of 4 physical files" for the serial/BASIC scheme).
-	CombinedFiles bool
 	// MinSplit stops splitting leaves with fewer tuples. Default 2.
 	MinSplit int64
 	// MaxDepth bounds the tree depth when > 0 (root = depth 0).

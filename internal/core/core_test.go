@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
@@ -452,49 +451,6 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, _, err := Build(tbl, cfg); err == nil {
 			t.Errorf("config %d should have been rejected", i)
-		}
-	}
-}
-
-// TestCombinedFilesMatchAndCountFour exercises the paper's §2.3 refinement:
-// all attributes share one striped physical file per slot, so the whole
-// serial build uses at most 4 physical files — and still grows the
-// identical tree.
-func TestCombinedFilesMatchAndCountFour(t *testing.T) {
-	tbl := synthTable(t, 7, 9, 500, 7)
-	ref, _, err := Build(tbl, Config{Algorithm: Serial, MaxDepth: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	got, _, err := Build(tbl, Config{
-		Algorithm: Serial, Storage: Disk, TempDir: dir,
-		CombinedFiles: true, MaxDepth: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tree.Equal(ref, got) {
-		t.Fatalf("combined-file build differs: %s", tree.Diff(ref, got))
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.alist"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) > 4 {
-		t.Fatalf("combined mode created %d files, paper promises at most 4", len(files))
-	}
-	// Parallel schemes work over the combined store too.
-	for _, alg := range []Algorithm{MWK, Subtree} {
-		got, _, err := Build(tbl, Config{
-			Algorithm: alg, Procs: 3, Storage: Disk, TempDir: t.TempDir(),
-			CombinedFiles: true, MaxDepth: 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tree.Equal(ref, got) {
-			t.Fatalf("%v combined-file build differs: %s", alg, tree.Diff(ref, got))
 		}
 	}
 }

@@ -203,11 +203,7 @@ func (e *engine) openStore() error {
 			}
 			e.tmpDir = dir
 		}
-		if e.cfg.CombinedFiles {
-			st, err = alist.NewCombinedFileStore(dir, e.nattr, slots, e.ntuples)
-		} else {
-			st, err = alist.NewFileStore(dir, e.nattr, slots)
-		}
+		st, err = alist.NewFileStore(dir, e.nattr, slots)
 	}
 	if err != nil {
 		return err
@@ -446,9 +442,9 @@ func (e *engine) vote(l *leafState) bool {
 
 // winnerAndProbe is the W work unit for a leaf: select the global winner
 // among the per-attribute candidates, scan the winning attribute's list to
-// build the probe and the children's class histograms, run the purity
-// pre-test, and attach child nodes. It does not assign child storage; see
-// registerChildren.
+// build the probe and the children's class histograms, and hand them to
+// sealAndAttach, which runs the purity pre-test and attaches child nodes.
+// It does not assign child storage; see registerChildren.
 func (e *engine) winnerAndProbe(l *leafState, sc *scratch) error {
 	if err := e.cancelled(); err != nil {
 		return err
@@ -456,8 +452,7 @@ func (e *engine) winnerAndProbe(l *leafState, sc *scratch) error {
 	if !e.vote(l) {
 		return nil // leaf stays a leaf (no usable split)
 	}
-	best := l.win
-	prb := e.probes.ForLeaf(best.NLeft, best.NRight)
+	prb := e.probes.ForLeaf(l.win.NLeft, l.win.NRight)
 	// The child histograms escape into the tree nodes, so they are the one
 	// per-leaf allocation W keeps.
 	histL := make([]int64, e.nclass)
@@ -465,17 +460,26 @@ func (e *engine) winnerAndProbe(l *leafState, sc *scratch) error {
 	if err := e.probeScan(l, prb, 0, l.n, histL, histR, sc); err != nil {
 		return err
 	}
+	l.prb = prb
+	return e.sealAndAttach(l, histL, histR)
+}
+
+// sealAndAttach is the tail of every W phase: it checks that the winner
+// scan's child histograms hold exactly the record counts the winning
+// candidate promised — a list that changed between E and W would otherwise
+// grow children whose regions do not fit their records — then seals leaf
+// l's probe and attaches its children.
+func (e *engine) sealAndAttach(l *leafState, histL, histR []int64) error {
 	var nl, nr int64
 	for j := 0; j < e.nclass; j++ {
 		nl += histL[j]
 		nr += histR[j]
 	}
-	if nl != best.NLeft || nr != best.NRight {
+	if win := l.win; nl != win.NLeft || nr != win.NRight {
 		return fmt.Errorf("core: winner scan of attr %d produced %d/%d records, candidate promised %d/%d",
-			best.Attr, nl, nr, best.NLeft, best.NRight)
+			win.Attr, nl, nr, win.NLeft, win.NRight)
 	}
-	prb.Seal()
-	l.prb = prb
+	l.prb.Seal()
 	e.attachChildren(l, histL, histR)
 	return nil
 }

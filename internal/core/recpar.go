@@ -244,9 +244,9 @@ func (e *engine) levelRecPar(g *group, id int, ln *trace.Lane, sc *scratch) bool
 	return wait()
 }
 
-// finishRecParW merges the chunk histograms, seals the probe, attaches
-// child nodes with the purity pre-test, and registers storage at the
-// group's placement — the serial tail of the record-parallel W phase.
+// finishRecParW merges the chunk histograms, checks them against the
+// winner, seals the probe, attaches child nodes with the purity pre-test,
+// and registers storage at the group's placement — the serial tail of the record-parallel W phase.
 func (e *engine) finishRecParW(g *group, l *leafState) error {
 	hl := make([]int64, e.nclass)
 	hr := make([]int64, e.nclass)
@@ -256,8 +256,9 @@ func (e *engine) finishRecParW(g *group, l *leafState) error {
 			hr[j] += g.rp.histR[w][j]
 		}
 	}
-	l.prb.Seal()
-	e.attachChildren(l, hl, hr)
+	if err := e.sealAndAttach(l, hl, hr); err != nil {
+		return err
+	}
 	return e.registerChildren(l, g.childSlot)
 }
 

@@ -3,8 +3,8 @@ package loadtest
 // Drift scenario driver: stream labeled rows with a mid-stream concept
 // flip into POST /v1/ingest while probing the served model's accuracy on
 // the freshest labels, and measure how long the server's retrain loop
-// takes to recover. The engine behind `loadgen -drift` and the
-// `benchjson -drift` row in BENCH_build.json.
+// takes to recover. The engine behind `loadgen -drift`; the deterministic
+// in-process version of the scenario is internal/serve's TestDriftRecovery.
 
 import (
 	"bytes"

@@ -107,7 +107,7 @@ func TestFleetFailsOverDeadNode(t *testing.T) {
 }
 
 // TestFleet5xxCounted: server errors on admitted requests must surface in
-// FiveXX — the zero-5xx acceptance gate clusterbench enforces.
+// FiveXX — the zero-5xx acceptance gate `make cluster-soak` enforces.
 func TestFleet5xxCounted(t *testing.T) {
 	broken, _ := fakeNode(t, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)

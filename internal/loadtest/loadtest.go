@@ -1,6 +1,6 @@
 // Package loadtest drives a parclass model server with synthetic
 // prediction traffic and measures what came back — the engine behind
-// cmd/loadgen and the `make servebench` serving row in BENCH_build.json.
+// cmd/loadgen, the cluster soak and internal/serve's TestOverloadSheds.
 //
 // Two arrival models:
 //
